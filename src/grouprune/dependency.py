@@ -97,5 +97,5 @@ def export_depgraph(d: DependencyGraph, path) -> None:
         raise GroupruneError("no components: nothing to export")
     m = d.dense()
     header = ["half"] + [h.node_id for h in d.halves]
-    rows = [[h.node_id] + [int(x) for x in m[i]] for i, h in enumerate(d.halves)]
+    rows = [[h.node_id] + m[i].tolist() for i, h in enumerate(d.halves)]
     write_csv(path, header, rows)

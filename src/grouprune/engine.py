@@ -477,21 +477,32 @@ def infer_shapes(ir, input_shape=None):
     return shapes
 
 
+def component_macs(comp, out_shape, c_in: int, c_out: int) -> int:
+    """Multiply-accumulate count of one sample through one component with
+    c_in input and c_out output channels: c_in*c_out for linear,
+    (C_in/G)*c_out*k^2*OH*OW for conv, 0 for every other kind.
+
+    out_shape is the component's inferred output shape; only its spatial
+    extent is read, so it may come from the unpruned network. A grouped
+    conv keeps its per-group input width when whole groups are pruned.
+    """
+    if comp.kind == "linear":
+        return c_in * c_out
+    if comp.kind == "conv2d":
+        _, oh, ow = out_shape
+        cg = c_in if comp.attrs["groups"] == 1 else _ir.conv_block_size(comp)
+        return cg * c_out * comp.attrs["kernel"] ** 2 * oh * ow
+    return 0
+
+
 def count_macs(ir, input_shape=None) -> int:
-    """Multiply-accumulate count of one sample, summed over linear and
-    conv components: in*out for linear, (C_in/G)*C_out*k^2*OH*OW for conv."""
+    """Multiply-accumulate count of one sample, summed over components
+    (see component_macs)."""
     input_shape = tuple(input_shape or ir.input_shape)
     shapes = infer_shapes(ir, input_shape)
-    total = 0
-    for comp in ir.components:
-        a = comp.attrs
-        if comp.kind == "linear":
-            total += a["in_features"] * a["out_features"]
-        elif comp.kind == "conv2d":
-            _, oh, ow = shapes[comp.comp_id]
-            cg = a["in_channels"] // a["groups"]
-            total += cg * a["out_channels"] * a["kernel"] ** 2 * oh * ow
-    return int(total)
+    return sum(component_macs(comp, shapes[comp.comp_id],
+                              _ir.in_channels(comp), _ir.out_channels(comp))
+               for comp in ir.components)
 
 
 # ---------------------------------------------------------------------------

@@ -322,8 +322,7 @@ class GroupingMatrix:
 
     def coupled(self, comp_id: str) -> list[str]:
         i = self.component_ids.index(comp_id)
-        return [cid for j, cid in enumerate(self.component_ids)
-                if self.matrix[i, j]]
+        return [self.component_ids[j] for j in np.flatnonzero(self.matrix[i])]
 
 
 def derive_grouping_matrix(d: DependencyGraph) -> GroupingMatrix:
@@ -348,11 +347,8 @@ def derive_grouping_matrix(d: DependencyGraph) -> GroupingMatrix:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    matrix = np.zeros((n, n), dtype=np.int8)
-    for i in range(n):
-        for j in range(n):
-            if i == j or find(i) == find(j):
-                matrix[i, j] = 1
+    roots = np.array([find(i) for i in range(n)], dtype=np.int64)
+    matrix = (roots[:, None] == roots[None, :]).astype(np.int8)
     return GroupingMatrix([c.comp_id for c in ir.components], matrix)
 
 
@@ -360,7 +356,7 @@ def export_grouping(g: GroupingMatrix, path) -> None:
     if not g.component_ids:
         raise GroupruneError("no components: nothing to export")
     header = ["component"] + g.component_ids
-    rows = [[cid] + [int(x) for x in g.matrix[i]]
+    rows = [[cid] + g.matrix[i].tolist()
             for i, cid in enumerate(g.component_ids)]
     write_csv(path, header, rows)
 

@@ -341,6 +341,11 @@ class NetworkIR:
     input_shape is the per-sample shape fed to the network, (C,) for flat
     inputs or (C, H, W) for images. input_consumers lists (component id,
     port) pairs that read the raw network input.
+
+    The topology (components, edges, input consumers) is immutable after
+    construction: consumers are indexed once here, and the exit component
+    and topological order are computed on first use and then reused. Only
+    the weight store may change.
     """
 
     def __init__(self, components, edges, input_shape, input_consumers,
@@ -355,6 +360,11 @@ class NetworkIR:
         self._index = {c.comp_id: i for i, c in enumerate(self.components)}
         if len(self._index) != len(self.components):
             raise ModelParseError("duplicate component ids")
+        self._consumers: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            self._consumers.setdefault(e.src, []).append(e)
+        self._exit: Component | None = None
+        self._topo: list[Component] | None = None
 
     # -- lookups ----------------------------------------------------------
 
@@ -377,40 +387,39 @@ class NetworkIR:
         return self.input_shape[0]
 
     def consumers_of(self, comp_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == comp_id]
-
-    def producers_of(self, comp_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == comp_id]
+        return list(self._consumers.get(comp_id, ()))
 
     def exit_component(self) -> Component:
-        sinks = [c for c in self.components if not self.consumers_of(c.comp_id)]
-        if len(sinks) != 1:
-            raise ValidationError(
-                f"expected exactly one network output, found {len(sinks)}")
-        return sinks[0]
+        if self._exit is None:
+            sinks = [c for c in self.components if not self.consumers_of(c.comp_id)]
+            if len(sinks) != 1:
+                raise ValidationError(
+                    f"expected exactly one network output, found {len(sinks)}")
+            self._exit = sinks[0]
+        return self._exit
 
     def entry_components(self) -> list[Component]:
         return [self.component(cid) for cid, _ in
                 dict.fromkeys(self.input_consumers)]
 
     def topo_order(self) -> list[Component]:
-        """Topological order; raises ValidationError on cycles."""
-        indeg = {c.comp_id: 0 for c in self.components}
-        for e in self.edges:
-            indeg[e.dst] += 1
-        ready = [c.comp_id for c in self.components if indeg[c.comp_id] == 0]
-        order = []
-        while ready:
-            cid = ready.pop(0)
-            order.append(cid)
-            for e in self.consumers_of(cid):
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    ready.append(e.dst)
-        if len(order) != len(self.components):
-            stuck = sorted(cid for cid, d in indeg.items() if d > 0)
-            raise ValidationError(f"cycle through components {stuck}")
-        return [self.component(cid) for cid in order]
+        """Topological order as a fresh list; raises ValidationError on
+        cycles."""
+        if self._topo is None:
+            indeg = {c.comp_id: 0 for c in self.components}
+            for e in self.edges:
+                indeg[e.dst] += 1
+            order = [c.comp_id for c in self.components if indeg[c.comp_id] == 0]
+            for cid in order:   # FIFO: order grows while it is walked
+                for e in self.consumers_of(cid):
+                    indeg[e.dst] -= 1
+                    if indeg[e.dst] == 0:
+                        order.append(e.dst)
+            if len(order) != len(self.components):
+                stuck = sorted(cid for cid, d in indeg.items() if d > 0)
+                raise ValidationError(f"cycle through components {stuck}")
+            self._topo = [self.component(cid) for cid in order]
+        return list(self._topo)
 
     def copy(self) -> "NetworkIR":
         return NetworkIR(
@@ -447,6 +456,9 @@ class NetworkIR:
                 v.append(f"input consumer {cid!r} unknown")
                 continue
             feeds.setdefault((cid, port), []).append(("input", None))
+        ports_fed: dict[str, list[int]] = {}
+        for cid, port in feeds:
+            ports_fed.setdefault(cid, []).append(port)
         for comp in self.components:
             for port in range(num_input_ports(comp)):
                 srcs = feeds.get((comp.comp_id, port), [])
@@ -454,8 +466,8 @@ class NetworkIR:
                     v.append(f"{comp.comp_id}: input port {port} not connected")
                 elif len(srcs) > 1:
                     v.append(f"{comp.comp_id}: input port {port} fed {len(srcs)} times")
-            extra = [p for (cid, p) in feeds if cid == comp.comp_id
-                     and p >= num_input_ports(comp)]
+            extra = [p for p in ports_fed.get(comp.comp_id, ())
+                     if p >= num_input_ports(comp)]
             for p in sorted(extra):
                 v.append(f"{comp.comp_id}: no such input port {p}")
 
@@ -478,11 +490,10 @@ class NetworkIR:
                          f"{cid}:in[{port}] expects {want}")
 
         # single output, every split port consumed, DAG-ness
-        consumed = {(e.src, e.src_port) for e in self.edges}
         sinks = []
         for comp in self.components:
             ports = set(range(num_output_ports(comp)))
-            used = {p for (cid, p) in consumed if cid == comp.comp_id}
+            used = {e.src_port for e in self._consumers.get(comp.comp_id, ())}
             if not used:
                 sinks.append(comp.comp_id)
             elif ports - used:
@@ -520,12 +531,17 @@ class NetworkIR:
         return self
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (True is an int in Python)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_attrs(comp: Component) -> list[str]:
     v = []
     a = comp.attrs
     k = comp.kind
 
-    def need(key, pred=lambda x: isinstance(x, int) and x > 0, what="positive int"):
+    def need(key, pred=lambda x: _is_int(x) and x > 0, what="positive int"):
         if key not in a:
             v.append(f"{comp.comp_id}: missing attr {key!r}")
             return False
@@ -540,6 +556,8 @@ def _check_attrs(comp: Component) -> list[str]:
     elif k == "conv2d":
         ok = need("in_channels") and need("out_channels") and need("groups")
         need("kernel")
+        need("stride")
+        need("padding", lambda x: _is_int(x) and x >= 0, "non-negative int")
         if ok:
             g = a["groups"]
             if a["in_channels"] % g or a["out_channels"] % g:
@@ -566,7 +584,7 @@ def _check_attrs(comp: Component) -> list[str]:
     elif k in ("concat", "split"):
         sizes = a.get("sizes")
         if (not isinstance(sizes, list) or not sizes
-                or any(not isinstance(s, int) or s <= 0 for s in sizes)):
+                or any(not _is_int(s) or s <= 0 for s in sizes)):
             v.append(f"{comp.comp_id}: sizes must be a non-empty list of positive ints")
     elif k == "flatten":
         need("channels")
@@ -659,16 +677,21 @@ def load_model(path) -> NetworkIR:
     if doc["format"] != FORMAT_NAME:
         raise ModelParseError(f"{path}: unknown format {doc['format']!r}")
 
-    comps = []
-    for entry in doc["components"]:
-        for key in ("id", "kind", "attrs"):
-            if key not in entry:
-                raise ModelParseError(f"{path}: component missing field {key!r}")
-        comps.append(Component(entry["id"], entry["kind"], dict(entry["attrs"]),
-                               dict(entry.get("params", {}))))
-    edges = [Edge(e["src"], e.get("src_port", 0), e["dst"], e.get("dst_port", 0))
-             for e in doc["edges"]]
-    consumers = [(c["dst"], c.get("dst_port", 0)) for c in doc["input_consumers"]]
+    def field_of(entry, what, key):
+        if key not in entry:
+            raise ModelParseError(f"{path}: {what} missing field {key!r}")
+        return entry[key]
+
+    comps = [Component(field_of(c, "component", "id"),
+                       field_of(c, "component", "kind"),
+                       dict(field_of(c, "component", "attrs")),
+                       dict(c.get("params", {})))
+             for c in doc["components"]]
+    edges = [Edge(field_of(e, f"edge {i}", "src"), e.get("src_port", 0),
+                  field_of(e, f"edge {i}", "dst"), e.get("dst_port", 0))
+             for i, e in enumerate(doc["edges"])]
+    consumers = [(field_of(c, f"input consumer {i}", "dst"), c.get("dst_port", 0))
+                 for i, c in enumerate(doc["input_consumers"])]
 
     blob_path = path.parent / doc["weights_file"]
     blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4")

@@ -119,7 +119,7 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
     by_id = {g.group_id: g for g in groups}
 
     half_removed: dict[str, list[int]] = {}
-    tensor_removed: dict[tuple[str, int], set[int]] = {}
+    tensor_removed: dict[str, dict[int, set[int]]] = {}   # name -> axis -> locals
     raw_removed: set[int] | None = None
 
     for entry in plan.entries:
@@ -151,7 +151,8 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
             comp = ir.component(m.half.component_id)
             for sl in m.half.scheme.slices:
                 name = comp.params[sl.role]
-                tensor_removed.setdefault((name, sl.axis), set()).update(locals_hit)
+                (tensor_removed.setdefault(name, {})
+                 .setdefault(sl.axis, set()).update(locals_hit))
 
     # raw-input consistency: if any raw-fed input half is pruned, every raw
     # consumer must drop the same raw channels
@@ -174,11 +175,9 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
     # slice tensors
     new_weights = {}
     for name, arr in ir.weights.items():
-        removed_axes = [(axis, sorted(idx)) for (n, axis), idx
-                        in tensor_removed.items() if n == name]
         out = arr
-        for axis, idx in sorted(removed_axes):
-            out = np.delete(out, idx, axis=axis)
+        for axis, idx in sorted(tensor_removed.get(name, {}).items()):
+            out = np.delete(out, sorted(idx), axis=axis)
         new_weights[name] = out.copy()
 
     # rebuild components with updated channel attributes
@@ -308,50 +307,35 @@ def build_uniform_plan(ir, groups, ratio: float, strategy: str = "full-grouping"
     return plan
 
 
-def _virtual_macs(ir, shapes, kept: dict[str, int]) -> int:
-    total = 0
-    for comp in ir.components:
-        a = comp.attrs
-        if comp.kind == "linear":
-            total += kept[f"{comp.comp_id}:in"] * kept[f"{comp.comp_id}:out"]
-        elif comp.kind == "conv2d":
-            _, oh, ow = shapes[comp.comp_id]
-            if a["groups"] > 1:
-                cg = _ir.conv_block_size(comp)
-            else:
-                cg = kept[f"{comp.comp_id}:in"]
-            total += cg * kept[f"{comp.comp_id}:out"] * a["kernel"] ** 2 * oh * ow
-    return total
-
-
 def build_learned_plan(ir, groups, macs_fraction: float,
                        strategy: str = "full-grouping",
                        topn: int | None = None,
                        rng: np.random.Generator | None = None) -> PrunePlan:
     """Global-threshold selection: greedily remove the lowest-scoring
     units across all groups until MACs drop to macs_fraction of the base,
-    honoring per-group min_keep."""
+    honoring per-group min_keep.
+
+    MACs are tracked incrementally: every half keeps a count of its kept
+    channels, and accepting a unit narrows only its own group's members
+    and recomputes only the conv/linear components they belong to. Beyond
+    scoring the groups, the cost is O(H + U log U + M) for H halves, U
+    candidate units and M (member, canonical index) pairs of the eligible
+    groups.
+    """
     if not (0 < macs_fraction <= 1):
         raise ValueError("macs_fraction must be in (0, 1]")
     shapes = engine.infer_shapes(ir)
     eligible = prunable_groups(ir, groups)
 
-    selected: dict[str, set[int]] = {g.group_id: set() for g in eligible}
-    half_to_member = {}
-    for g in groups:
-        for m in g.members:
-            half_to_member[m.half.node_id] = (g, m)
+    kept = {h.node_id: h.channels for h in ir.halves()}
 
-    def kept_channels() -> dict[str, int]:
-        out = {}
-        for h in ir.halves():
-            g, m = half_to_member[h.node_id]
-            removed = sum(len(m.transform.apply(k, h.channels))
-                          for k in selected.get(g.group_id, ()))
-            out[h.node_id] = h.channels - removed
-        return out
+    def macs_of(comp) -> int:
+        cid = comp.comp_id
+        return engine.component_macs(comp, shapes[cid], kept[f"{cid}:in"],
+                                     kept[f"{cid}:out"])
 
-    base = _virtual_macs(ir, shapes, kept_channels())
+    macs = {c.comp_id: macs_of(c) for c in ir.components}
+    base = sum(macs.values())
     target = macs_fraction * base
 
     candidates = []
@@ -363,15 +347,26 @@ def build_learned_plan(ir, groups, macs_fraction: float,
     candidates.sort(key=lambda t: (t[0], t[1], t[2][0]))
 
     by_id = {g.group_id: g for g in eligible}
+    min_keep = {g.group_id: min_keep_for(ir, g) for g in eligible}
+    selected: dict[str, set[int]] = {g.group_id: set() for g in eligible}
     current = base
     for _avg, gid, unit in candidates:
         if current <= target:
             break
         group = by_id[gid]
-        if group.width - len(selected[gid]) - len(unit) < min_keep_for(ir, group):
+        if group.width - len(selected[gid]) - len(unit) < min_keep[gid]:
             continue
         selected[gid].update(unit)
-        current = _virtual_macs(ir, shapes, kept_channels())
+        touched = set()
+        for m in group.members:
+            removed = sum(len(m.transform.apply(k, m.half.channels)) for k in unit)
+            if removed:
+                kept[m.half.node_id] -= removed
+                touched.add(m.half.component_id)
+        for cid in touched:
+            new = macs_of(ir.component(cid))
+            current += new - macs[cid]
+            macs[cid] = new
     plan = PrunePlan(provenance={"criterion": strategy, "mode": "learned",
                                  "macs_fraction": macs_fraction})
     for g in eligible:

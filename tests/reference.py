@@ -8,6 +8,10 @@ Two evaluators, both pure (no running-stat updates) and float64:
   for convolutions; fast enough to finite-difference.
 
 Neither shares code with grouprune.engine.
+
+The graph oracles check grouping, and reference_learned_plan is the
+learned prune plan as a full recount of kept widths and MACs after every
+accepted unit, with its own MAC formula.
 """
 
 from __future__ import annotations
@@ -362,3 +366,81 @@ def literal_expansion(adj: np.ndarray) -> set[frozenset]:
             g |= frontier
         out.add(frozenset(g))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Learned-plan oracle: the greedy global-threshold plan, recounting every
+# half's kept width and the whole network's MACs after each accepted unit.
+
+
+def _virtual_macs(ir, shapes, kept: dict[str, int]) -> int:
+    total = 0
+    for comp in ir.components:
+        a = comp.attrs
+        if comp.kind == "linear":
+            total += kept[f"{comp.comp_id}:in"] * kept[f"{comp.comp_id}:out"]
+        elif comp.kind == "conv2d":
+            _, oh, ow = shapes[comp.comp_id]
+            if a["groups"] > 1:
+                cg = _ir.conv_block_size(comp)
+            else:
+                cg = kept[f"{comp.comp_id}:in"]
+            total += cg * kept[f"{comp.comp_id}:out"] * a["kernel"] ** 2 * oh * ow
+    return total
+
+
+def reference_learned_plan(ir, groups, macs_fraction: float,
+                           strategy: str = "full-grouping",
+                           topn: int | None = None, rng=None):
+    """Same contract as pruning.build_learned_plan, in O(units x halves)."""
+    from grouprune.engine import infer_shapes
+    from grouprune.pruning import (PlanEntry, PrunePlan, min_keep_for,
+                                   prunable_groups, scores_for_strategy)
+
+    if not (0 < macs_fraction <= 1):
+        raise ValueError("macs_fraction must be in (0, 1]")
+    shapes = infer_shapes(ir)
+    eligible = prunable_groups(ir, groups)
+
+    selected: dict[str, set[int]] = {g.group_id: set() for g in eligible}
+    half_to_member = {}
+    for g in groups:
+        for m in g.members:
+            half_to_member[m.half.node_id] = (g, m)
+
+    def kept_channels() -> dict[str, int]:
+        out = {}
+        for h in ir.halves():
+            g, m = half_to_member[h.node_id]
+            removed = sum(len(m.transform.apply(k, h.channels))
+                          for k in selected.get(g.group_id, ()))
+            out[h.node_id] = h.channels - removed
+        return out
+
+    base = _virtual_macs(ir, shapes, kept_channels())
+    target = macs_fraction * base
+
+    candidates = []
+    for g in eligible:
+        scores = scores_for_strategy(ir, g, strategy, topn, rng)
+        for u in g.units:
+            avg = float(sum(scores[i] for i in u)) / len(u)
+            candidates.append((avg, g.group_id, u))
+    candidates.sort(key=lambda t: (t[0], t[1], t[2][0]))
+
+    by_id = {g.group_id: g for g in eligible}
+    current = base
+    for _avg, gid, unit in candidates:
+        if current <= target:
+            break
+        group = by_id[gid]
+        if group.width - len(selected[gid]) - len(unit) < min_keep_for(ir, group):
+            continue
+        selected[gid].update(unit)
+        current = _virtual_macs(ir, shapes, kept_channels())
+    plan = PrunePlan(provenance={"criterion": strategy, "mode": "learned",
+                                 "macs_fraction": macs_fraction})
+    for g in eligible:
+        plan.entries.append(PlanEntry(g.group_id, g.fingerprint,
+                                      tuple(sorted(selected[g.group_id]))))
+    return plan

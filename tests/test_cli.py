@@ -67,6 +67,32 @@ def test_inspect_invalid_ir_exits_3(tmp_path, residual_model):
     assert rc == 3
 
 
+def test_prune_conv_stride_zero_exits_3(residual_model, tmp_path):
+    doc = json.loads(residual_model.read_text())
+    for comp in doc["components"]:
+        if comp["id"] == "conv1":
+            comp["attrs"]["stride"] = 0
+    bad = tmp_path / "stride0.json"   # its weights_file is still model.bin
+    bad.write_text(json.dumps(doc))
+    rc = main(["prune", "--model", str(bad), "--out", str(tmp_path / "o"),
+               "--ratio", "0.5"])
+    assert rc == 3
+
+
+@pytest.mark.parametrize("section, key", [("edges", "src"), ("edges", "dst"),
+                                          ("input_consumers", "dst")])
+def test_inspect_entry_without_endpoint_exits_2(residual_model, tmp_path,
+                                                capsys, section, key):
+    doc = json.loads(residual_model.read_text())
+    del doc[section][0][key]
+    bad = tmp_path / "broken.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["inspect", "--model", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"missing field {key!r}" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["explode"]) == 2
 

@@ -169,6 +169,19 @@ def test_grouped_conv_requires_equal_channels():
     assert any("equal in/out" in v for v in ir.validate())
 
 
+@pytest.mark.parametrize("comp, message", [
+    (conv2d("c", 4, 4, groups=True), "attr 'groups' must be positive int, got True"),
+    (split("c", [True, 3]), "sizes must be a non-empty list of positive ints"),
+    (conv2d("c", 4, 4, stride=0), "attr 'stride' must be positive int, got 0"),
+    (conv2d("c", 4, 4, padding=-1),
+     "attr 'padding' must be non-negative int, got -1"),
+], ids=["bool-int-attr", "bool-size", "stride-zero", "negative-padding"])
+def test_validate_rejects_bad_int_attrs(comp, message):
+    ir = NetworkIR([comp], [], (4, 4, 4), [("c", 0)])
+    init_weights(ir, np.random.default_rng(0))
+    assert f"c: {message}" in ir.validate()
+
+
 # -- serialization ----------------------------------------------------------
 
 

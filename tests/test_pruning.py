@@ -5,13 +5,17 @@ from grouprune import engine, zoo
 from grouprune.dependency import build_depgraph
 from grouprune.errors import PruneError
 from grouprune.grouping import extract_groups
-from grouprune.ir import load_model, save_model
+from grouprune.ir import (NetworkIR, activation, batchnorm, conv2d, eltwise,
+                          flatten, init_weights, linear, load_model, pool,
+                          save_model)
 from grouprune.pruning import (PlanEntry, PrunePlan, boundary_roles,
                                build_learned_plan, build_uniform_plan,
                                end_to_end_prune, format_speedup_line,
                                min_keep_for, prunable_groups, prune, speedup)
+from grouprune.random_nets import random_ir
 
 from conftest import alternating_selection, zeroize_group
+from reference import reference_learned_plan
 
 
 def middle_plan(ir, indices):
@@ -253,3 +257,94 @@ def test_pruned_model_round_trips_by_file(tmp_path):
     save_model(pruned, tmp_path / "p.json")
     again = load_model(tmp_path / "p.json")
     assert [c.attrs for c in again.components] == [c.attrs for c in pruned.components]
+
+
+# -- learned plan against the recounting oracle -------------------------------
+
+STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
+MACS_FRACTIONS = (0.3, 0.5, 0.8, 1.0)
+
+
+def _oracle_models():
+    for name, build in sorted(zoo.BUNDLED.items()):
+        yield name, build(seed=11)
+    for seed in range(30):
+        yield f"random_ir({seed})", random_ir(seed)
+
+
+def _plan_macs(ir, groups, plan) -> int:
+    """component_macs summed at the kept widths the plan leaves."""
+    chosen = {e.group_id: e.indices for e in plan.entries}
+    kept = {}
+    for g in groups:
+        for m in g.members:
+            removed = sum(len(m.transform.apply(k, m.half.channels))
+                          for k in chosen.get(g.group_id, ()))
+            kept[m.half.node_id] = m.half.channels - removed
+    shapes = engine.infer_shapes(ir)
+    return sum(engine.component_macs(c, shapes[c.comp_id],
+                                      kept[f"{c.comp_id}:in"],
+                                      kept[f"{c.comp_id}:out"])
+               for c in ir.components)
+
+
+def test_learned_plan_matches_recounting_oracle():
+    for name, ir in _oracle_models():
+        groups = extract_groups(build_depgraph(ir))
+        for strategy in STRATEGIES:
+            for fraction in MACS_FRACTIONS:
+                case = (name, strategy, fraction)
+                plan = build_learned_plan(ir, groups, fraction, strategy,
+                                          rng=np.random.default_rng(3))
+                want = reference_learned_plan(ir, groups, fraction, strategy,
+                                              rng=np.random.default_rng(3))
+                assert plan.entries == want.entries, case
+                assert plan.provenance == want.provenance, case
+                try:
+                    pruned = prune(ir, plan, groups)
+                except PruneError:
+                    continue   # a plan may empty a concat/split port
+                assert engine.count_macs(pruned) == _plan_macs(ir, groups, plan), case
+
+
+def deep_residual_cnn(blocks: int, width: int = 8, image: int = 8) -> NetworkIR:
+    """Stem conv, `blocks` residual blocks, pool/flatten/linear head."""
+    comps = [conv2d("stem", 1, width, kernel=3, padding=1)]
+    edges = []
+    prev = "stem"
+    for b in range(blocks):
+        p = f"b{b}."
+        comps += [conv2d(p + "conv1", width, width, kernel=3, padding=1),
+                  batchnorm(p + "bn1", width), activation(p + "act1", width),
+                  conv2d(p + "conv2", width, width, kernel=3, padding=1),
+                  batchnorm(p + "bn2", width), eltwise(p + "add", width),
+                  activation(p + "act2", width)]
+        edges += [(prev, 0, p + "conv1", 0), (p + "conv1", 0, p + "bn1", 0),
+                  (p + "bn1", 0, p + "act1", 0), (p + "act1", 0, p + "conv2", 0),
+                  (p + "conv2", 0, p + "bn2", 0), (p + "bn2", 0, p + "add", 0),
+                  (prev, 0, p + "add", 1), (p + "add", 0, p + "act2", 0)]
+        prev = p + "act2"
+    spatial = (image // 2) ** 2
+    comps += [pool("pool", width, kernel=2), flatten("flat", width, spatial),
+              linear("head", width * spatial, 4)]
+    edges += [(prev, 0, "pool", 0), ("pool", 0, "flat", 0), ("flat", 0, "head", 0)]
+    ir = NetworkIR(comps, edges, (1, image, image), [("stem", 0)])
+    return init_weights(ir, np.random.default_rng(0))
+
+
+def test_learned_prune_scans_each_component_a_bounded_number_of_times(monkeypatch):
+    """A per-unit or per-group rescan of the edges shows up as a call
+    count that grows faster than the network."""
+    ir = deep_residual_cnn(blocks=32)
+    calls = 0
+    consumers_of = NetworkIR.consumers_of
+
+    def counted(self, comp_id):
+        nonlocal calls
+        calls += 1
+        return consumers_of(self, comp_id)
+
+    monkeypatch.setattr(NetworkIR, "consumers_of", counted)
+    _pruned, plan, _report = end_to_end_prune(ir, 0.5, mode="learned")
+    assert any(e.indices for e in plan.entries)
+    assert 0 < calls <= 4 * len(ir.components)
