@@ -14,7 +14,7 @@ from .grouping import (Group, GroupingMatrix, IndexTransform,
                        derive_grouping_matrix, export_grouping, extract_groups)
 from .importance import (GroupImportance, group_l2_importance, relative_score,
                          select_prune_indices)
-from .ir import NetworkIR, PruningScheme, load_model, save_model, scheme_of
+from .ir import NetworkIR, PruningScheme, load_model, save_model
 from .pruning import PrunePlan, end_to_end_prune, prune, speedup
 from .sparse import GammaSchedule, SparseConfig, compute_gamma, train_sparse
 
@@ -29,7 +29,7 @@ __all__ = [
     "export_grouping", "extract_groups",
     "GroupImportance", "group_l2_importance", "relative_score",
     "select_prune_indices",
-    "NetworkIR", "PruningScheme", "load_model", "save_model", "scheme_of",
+    "NetworkIR", "PruningScheme", "load_model", "save_model",
     "PrunePlan", "end_to_end_prune", "prune", "speedup",
     "GammaSchedule", "SparseConfig", "compute_gamma", "train_sparse",
 ]

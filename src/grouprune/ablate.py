@@ -51,9 +51,13 @@ def make_data(dataset: str, seed: int, n: int = 640):
 
 
 def _uniform_ratio_for_speedup(ir, groups, target: float, strategy, topn, rng):
-    """Binary-search the per-group ratio that reaches a target speedup."""
+    """Binary-search the per-group ratio that reaches a target speedup.
+
+    Returns the smallest probed ratio whose speedup reached the target
+    (the upper bound 0.95 if none did): widths change in whole units, so
+    the last midpoint can sit below the target.
+    """
     lo, hi = 0.0, 0.95
-    best = 0.0
     for _ in range(18):
         mid = (lo + hi) / 2
         plan = build_uniform_plan(ir, groups, mid, strategy, topn, rng)
@@ -61,13 +65,11 @@ def _uniform_ratio_for_speedup(ir, groups, target: float, strategy, topn, rng):
         s = speedup(ir, pruned)
         if s < target:
             lo = mid
-            best = mid
         else:
             hi = mid
-            best = mid
             if s / target < 1.02:
                 break
-    return best
+    return hi
 
 
 def run_cell(dataset: str, strategy: str, target_speedup: float, mode: str,

@@ -53,9 +53,6 @@ class DependencyGraph:
     def neighbors(self, a: int) -> list[int]:
         return sorted(self.adj[a])
 
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(p)) for p in self.labels)
-
     def dense(self):
         """0/1 adjacency matrix in canonical half order."""
         import numpy as np

@@ -15,6 +15,14 @@ prunable indices:
 
 Transform propagation happens during traversal so that inconsistent
 channel arithmetic fails here, at analysis time, not at pruning time.
+
+Consumers read a group through two things only.
+``IndexTransform.canonical(channels)`` maps every local index of a member
+to its canonical index at once (``delta + arange(channels) // factor``),
+so one numpy gather or ``bincount`` replaces a loop over canonical
+indices. ``Group.slices(ir)`` yields each parameter slice of the group
+once per (tensor, axis), in member order: importance sums squared norms
+over it, the sparsity regularizer scales it, and pruning deletes from it.
 """
 
 from __future__ import annotations
@@ -50,14 +58,9 @@ class IndexTransform:
     def span(self, channels: int) -> int:
         return channels // self.factor
 
-    def apply(self, k: int, channels: int) -> tuple[int, ...]:
-        if not (self.delta <= k < self.delta + self.span(channels)):
-            return ()
-        base = (k - self.delta) * self.factor
-        return tuple(range(base, base + self.factor))
-
-    def covers(self, k: int, channels: int) -> bool:
-        return self.delta <= k < self.delta + self.span(channels)
+    def canonical(self, channels: int) -> np.ndarray:
+        """Canonical index of each of the member's local indices."""
+        return self.delta + np.arange(channels) // self.factor
 
     @property
     def variant(self) -> str:
@@ -92,19 +95,25 @@ class Group:
     def member_ids(self) -> set[str]:
         return {m.half.node_id for m in self.members}
 
-    def component_ids(self) -> list[str]:
-        seen = dict.fromkeys(m.half.component_id for m in self.members)
-        return list(seen)
-
     @property
     def has_atoms(self) -> bool:
         return any(len(u) > 1 for u in self.units)
 
-    def unit_of(self, k: int) -> tuple[int, ...]:
-        for u in self.units:
-            if k in u:
-                return u
-        raise KeyError(k)
+    def slices(self, ir):
+        """(member, component, role, tensor name, axis) of every parameter
+        slice the group removes, once per (tensor, axis), in member order.
+
+        Both halves of a batchnorm or grouped conv slice the same tensors
+        at the same indices; the first member to name them yields them.
+        """
+        seen = set()
+        for m in self.members:
+            comp = ir.component(m.half.component_id)
+            for sl in m.half.scheme.slices:
+                name = comp.params[sl.role]
+                if (name, sl.axis) not in seen:
+                    seen.add((name, sl.axis))
+                    yield m, comp, sl.role, name, sl.axis
 
     def __repr__(self):
         return (f"Group({self.group_id}, width={self.width}, "

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ir as _ir
-
 
 @dataclass
 class GroupImportance:
@@ -38,41 +36,28 @@ def _scope_keep(comp, scope: str, seed_component: str | None) -> bool:
     raise ValueError(f"unknown importance scope {scope!r}")
 
 
-def slice_norms(ir, group, scope: str = "full", seed_component: str | None = None):
-    """Per-canonical-index sets of (tensor, axis, local index) with their
-    squared norms, deduplicated across members."""
-    # Precompute per-(tensor, axis) squared norms along every other axis.
-    sq: dict[tuple[str, int], np.ndarray] = {}
-    hits: list[set] = [set() for _ in range(group.width)]
-    for m in group.members:
-        comp = ir.component(m.half.component_id)
-        if not _scope_keep(comp, scope, seed_component):
-            continue
-        for sl in m.half.scheme.slices:
-            name = comp.params[sl.role]
-            key = (name, sl.axis)
-            if key not in sq:
-                w = ir.weights[name].astype(np.float64)
-                other = tuple(i for i in range(w.ndim) if i != sl.axis)
-                sq[key] = (w ** 2).sum(axis=other) if other else w ** 2
-            for k in range(group.width):
-                for local in m.transform.apply(k, m.half.channels):
-                    hits[k].add((name, sl.axis, local))
-    return sq, hits
+def sq_norms(w: np.ndarray, axis: int) -> np.ndarray:
+    """Squared L2 norm of each slice of w along axis, in float64."""
+    other = tuple(i for i in range(w.ndim) if i != axis)
+    return (w.astype(np.float64) ** 2).sum(axis=other)
 
 
 def group_l2_importance(ir, group, scope: str = "full",
                         seed_component: str | None = None) -> GroupImportance:
     """Sum of squared slice norms per canonical index.
 
-    Pass-through members own no slices and contribute zero. scope narrows
-    which member kinds count: "conv" keeps conv2d members only, "seed"
-    keeps a single named component (both used by ablation strategies).
+    Each slice of the group adds its norms at its members' canonical
+    indices, in the fixed order of Group.slices. Pass-through members own
+    no slices and contribute zero. scope narrows which member kinds
+    count: "conv" keeps conv2d members only, "seed" keeps a single named
+    component (both used by ablation strategies).
     """
-    sq, hits = slice_norms(ir, group, scope, seed_component)
     values = np.zeros(group.width, dtype=np.float64)
-    for k in range(group.width):
-        values[k] = sum(sq[(name, axis)][local] for name, axis, local in hits[k])
+    for m, comp, _role, name, axis in group.slices(ir):
+        if _scope_keep(comp, scope, seed_component):
+            values += np.bincount(m.transform.canonical(m.half.channels),
+                                  weights=sq_norms(ir.weights[name], axis),
+                                  minlength=group.width)
     return GroupImportance(group.group_id, values, scope)
 
 

@@ -59,7 +59,6 @@ class PruningScheme:
     compare equal.
     """
 
-    scheme_id: str
     slices: tuple[SliceSpec, ...]
 
     def __eq__(self, other):
@@ -75,11 +74,11 @@ class PruningScheme:
         return not self.slices
 
 
-def _scheme(tag: str, *slices: tuple[str, int]) -> PruningScheme:
-    return PruningScheme(tag, tuple(SliceSpec(r, a) for r, a in slices))
+def _scheme(*slices: tuple[str, int]) -> PruningScheme:
+    return PruningScheme(tuple(SliceSpec(r, a) for r, a in slices))
 
 
-PASSTHROUGH_SCHEME = _scheme("passthrough")
+PASSTHROUGH_SCHEME = _scheme()
 
 
 @dataclass(frozen=True)
@@ -203,10 +202,6 @@ def conv_block_size(comp: Component) -> int:
     return comp.attrs["out_channels"] // g
 
 
-def is_parameterized(comp: Component) -> bool:
-    return comp.kind in ("linear", "conv2d", "batchnorm")
-
-
 # ---------------------------------------------------------------------------
 # Pruning schemes per kind
 
@@ -221,36 +216,25 @@ def scheme_for(comp: Component, side: str) -> PruningScheme:
     if k == "linear":
         if side == "out":
             slices = [("weight", 0)] + ([("bias", 0)] if "bias" in comp.params else [])
-            return _scheme("linear.out", *slices)
-        return _scheme("linear.in", ("weight", 1))
+            return _scheme(*slices)
+        return _scheme(("weight", 1))
     if k == "conv2d":
         out_slices = [("weight", 0)] + ([("bias", 0)] if "bias" in comp.params else [])
-        if comp.attrs.get("groups", 1) > 1:
+        if side == "out" or comp.attrs.get("groups", 1) > 1:
             # Removing an input channel of a grouped conv removes the
             # filters of its own group, i.e. the same axis-0 weight rows
             # as the output side. Bias rides along on either side.
-            return _scheme("conv2d.grouped", *out_slices)
-        if side == "out":
-            return _scheme("conv2d.out", *out_slices)
-        return _scheme("conv2d.in", ("weight", 1))
+            return _scheme(*out_slices)
+        return _scheme(("weight", 1))
     if k == "batchnorm":
-        return _scheme(
-            "batchnorm",
-            ("gamma", 0),
-            ("beta", 0),
-            ("running_mean", 0),
-            ("running_var", 0),
-        )
+        return _scheme(("gamma", 0), ("beta", 0), ("running_mean", 0),
+                       ("running_var", 0))
     return PASSTHROUGH_SCHEME
 
 
 def half_node(comp: Component, side: str) -> HalfNode:
     ch = in_channels(comp) if side == "in" else out_channels(comp)
     return HalfNode(comp.comp_id, side, ch, scheme_for(comp, side))
-
-
-def scheme_of(half: HalfNode) -> PruningScheme:
-    return half.scheme
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +381,6 @@ class NetworkIR:
                     f"expected exactly one network output, found {len(sinks)}")
             self._exit = sinks[0]
         return self._exit
-
-    def entry_components(self) -> list[Component]:
-        return [self.component(cid) for cid, _ in
-                dict.fromkeys(self.input_consumers)]
 
     def topo_order(self) -> list[Component]:
         """Topological order as a fresh list; raises ValidationError on

@@ -141,18 +141,16 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
             raise PruneError(f"{entry.group_id}: selection violates the "
                              f"minimum width {min_keep_for(ir, group)}")
 
+        mask = np.zeros(group.width, dtype=bool)
+        mask[list(sel)] = True
         for m in group.members:
-            locals_hit = sorted(
-                local for k in sorted(sel)
-                for local in m.transform.apply(k, m.half.channels))
-            if not locals_hit:
-                continue
-            half_removed[m.half.node_id] = locals_hit
-            comp = ir.component(m.half.component_id)
-            for sl in m.half.scheme.slices:
-                name = comp.params[sl.role]
-                (tensor_removed.setdefault(name, {})
-                 .setdefault(sl.axis, set()).update(locals_hit))
+            locals_hit = np.flatnonzero(mask[m.transform.canonical(m.half.channels)])
+            if locals_hit.size:
+                half_removed[m.half.node_id] = locals_hit.tolist()
+        for m, _comp, _role, name, axis in group.slices(ir):
+            if m.half.node_id in half_removed:
+                (tensor_removed.setdefault(name, {}).setdefault(axis, set())
+                 .update(half_removed[m.half.node_id]))
 
     # raw-input consistency: if any raw-fed input half is pruned, every raw
     # consumer must drop the same raw channels
@@ -359,9 +357,11 @@ def build_learned_plan(ir, groups, macs_fraction: float,
         selected[gid].update(unit)
         touched = set()
         for m in group.members:
-            removed = sum(len(m.transform.apply(k, m.half.channels)) for k in unit)
-            if removed:
-                kept[m.half.node_id] -= removed
+            t = m.transform
+            end = t.delta + t.span(m.half.channels)
+            covered = sum(1 for k in unit if t.delta <= k < end)
+            if covered:
+                kept[m.half.node_id] -= t.factor * covered
                 touched.add(m.half.component_id)
         for cid in touched:
             new = macs_of(ir.component(cid))

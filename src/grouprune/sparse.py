@@ -19,7 +19,8 @@ import numpy as np
 from . import engine, ir as _ir
 from .errors import TrainingDiverged
 from .grouping import Group, GroupMember, IndexTransform
-from .importance import GroupImportance, group_l2_importance
+from .importance import (GroupImportance, _scope_keep,
+                         group_l2_importance, sq_norms)
 
 STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
 
@@ -79,24 +80,15 @@ def compute_gamma(imp: GroupImportance, alpha: float) -> GammaSchedule:
     return GammaSchedule(imp.group_id, gamma)
 
 
-def _regularized_slices(ir, group: Group, scope: str):
-    """(tensor name, axis, locals per canonical k) for trainable slices."""
-    out = []
-    seen = set()
-    for m in group.members:
-        comp = ir.component(m.half.component_id)
-        if scope == "conv" and comp.kind != "conv2d":
-            continue
-        for sl in m.half.scheme.slices:
-            if sl.role in _ir.BUFFER_ROLES:
-                continue
-            name = comp.params[sl.role]
-            key = (name, sl.axis, m.transform)
-            if key in seen:
-                continue  # both halves of batchnorm / grouped conv
-            seen.add(key)
-            out.append((name, sl.axis, m.transform, m.half.channels))
-    return out
+def _weighted_slices(ir, groups, gammas, scope: str):
+    """(tensor name, axis, gamma per local index) of every trainable slice
+    in scope. Batchnorm running statistics are per-channel state, not
+    trainable weights, and are skipped."""
+    for group in groups:
+        gamma = gammas[group.group_id].gamma
+        for m, comp, role, name, axis in group.slices(ir):
+            if role not in _ir.BUFFER_ROLES and _scope_keep(comp, scope, None):
+                yield name, axis, gamma[m.transform.canonical(m.half.channels)]
 
 
 def regularizer_grad(ir, groups, gammas: dict[str, GammaSchedule],
@@ -104,42 +96,25 @@ def regularizer_grad(ir, groups, gammas: dict[str, GammaSchedule],
     """Gradient of the sparsity regularizer w.r.t. every touched tensor.
 
     The regularizer is reg_weight * sum_g sum_k gamma_k * I_{g,k}; its
-    gradient on a slice w[k] is 2 * reg_weight * gamma_k * w[k]. Batchnorm
-    running statistics are per-channel state, not trainable weights, and
-    are skipped.
+    gradient on a slice w[k] is 2 * reg_weight * gamma_k * w[k].
     """
     grads: dict[str, np.ndarray] = {}
     if reg_weight == 0:
         return grads
-    for group in groups:
-        gamma = gammas[group.group_id].gamma
-        for name, axis, transform, channels in _regularized_slices(ir, group, scope):
-            w = ir.weights[name]
-            g = grads.setdefault(name, np.zeros_like(w))
-            w_mv = np.moveaxis(w, axis, 0)
-            g_mv = np.moveaxis(g, axis, 0)
-            coeff = np.zeros(w.shape[axis], dtype=np.float64)
-            for k in range(group.width):
-                for local in transform.apply(k, channels):
-                    coeff[local] += gamma[k]
-            shape = (-1,) + (1,) * (w.ndim - 1)
-            g_mv += (2.0 * reg_weight * coeff.reshape(shape) * w_mv).astype(w.dtype)
+    for name, axis, coeff in _weighted_slices(ir, groups, gammas, scope):
+        w = ir.weights[name]
+        shape = [1] * w.ndim
+        shape[axis] = -1
+        g = grads.setdefault(name, np.zeros_like(w))
+        g += (2.0 * reg_weight * coeff.reshape(shape) * w).astype(w.dtype)
     return grads
 
 
 def regularizer_value(ir, groups, gammas, reg_weight: float,
                       scope: str = "full") -> float:
     """Scalar value of the regularizer; finite-difference oracle target."""
-    total = 0.0
-    for group in groups:
-        gamma = gammas[group.group_id].gamma
-        for name, axis, transform, channels in _regularized_slices(ir, group, scope):
-            w = ir.weights[name].astype(np.float64)
-            other = tuple(i for i in range(w.ndim) if i != axis)
-            sq = (w ** 2).sum(axis=other) if other else w ** 2
-            for k in range(group.width):
-                for local in transform.apply(k, channels):
-                    total += gamma[k] * sq[local]
+    total = sum(float(coeff @ sq_norms(ir.weights[name], axis))
+                for name, axis, coeff in _weighted_slices(ir, groups, gammas, scope))
     return reg_weight * total
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ir import (NetworkIR, activation, batchnorm, concat, conv2d, eltwise,
-                 flatten, init_weights, linear, pool, save_model, split)
+                 flatten, init_weights, linear, pool, split)
 
 
 def _finish(components, edges, input_shape, consumers, seed):
@@ -212,16 +212,3 @@ BUNDLED = {
     "split_cnn": split_cnn,
 }
 
-
-def write_bundled_models(out_dir, seed: int = 0) -> dict[str, str]:
-    """Write every bundled model to out_dir; returns name -> path."""
-    import pathlib
-
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, builder in BUNDLED.items():
-        path = out_dir / f"{name}.json"
-        save_model(builder(seed=seed), path)
-        paths[name] = str(path)
-    return paths

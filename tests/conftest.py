@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from grouprune import ir as _ir  # noqa: E402
+from reference import transform_locals  # noqa: E402
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def zeroize_group(ir, group, indices):
         for sl in m.half.scheme.slices:
             mv = np.moveaxis(z.weights[comp.params[sl.role]], sl.axis, 0)
             for k in indices:
-                for local in m.transform.apply(k, m.half.channels):
+                for local in transform_locals(m.transform, k, m.half.channels):
                     mv[local] = 0.0
     return z
 
@@ -36,6 +36,18 @@ def alternating_selection(group, min_keep=1):
         if group.width - len(sel) - len(u) >= min_keep:
             sel.extend(u)
     return tuple(sorted(sel))
+
+
+def oracle_models():
+    """(name, IR) for the 8 bundled models and random_ir seeds 0-29: the
+    models every loop-based oracle is compared on."""
+    from grouprune import zoo
+    from grouprune.random_nets import random_ir
+
+    for name, build in sorted(zoo.BUNDLED.items()):
+        yield name, build(seed=11)
+    for seed in range(30):
+        yield f"random_ir({seed})", random_ir(seed)
 
 
 def tiny_smooth_net(seed, max_components=10):

@@ -12,6 +12,12 @@ Neither shares code with grouprune.engine.
 The graph oracles check grouping, and reference_learned_plan is the
 learned prune plan as a full recount of kept widths and MACs after every
 accepted unit, with its own MAC formula.
+
+The group-index oracles walk a group one canonical index at a time
+through transform_locals, the literal definition of an index transform:
+importance as a sum over a set of (tensor, axis, local index) slices, and
+the regularizer gradient as a per-index coefficient loop. They share no
+code with IndexTransform.canonical or Group.slices.
 """
 
 from __future__ import annotations
@@ -412,7 +418,7 @@ def reference_learned_plan(ir, groups, macs_fraction: float,
         out = {}
         for h in ir.halves():
             g, m = half_to_member[h.node_id]
-            removed = sum(len(m.transform.apply(k, h.channels))
+            removed = sum(len(transform_locals(m.transform, k, h.channels))
                           for k in selected.get(g.group_id, ()))
             out[h.node_id] = h.channels - removed
         return out
@@ -444,3 +450,81 @@ def reference_learned_plan(ir, groups, macs_fraction: float,
         plan.entries.append(PlanEntry(g.group_id, g.fingerprint,
                                       tuple(sorted(selected[g.group_id]))))
     return plan
+
+
+# ---------------------------------------------------------------------------
+# Group-index oracles: one canonical index at a time.
+
+
+def transform_locals(t, k: int, channels: int) -> tuple[int, ...]:
+    """Local indices of a member that canonical index k maps to: the
+    factor indices [(k - delta) * factor, (k - delta + 1) * factor) when
+    delta <= k < delta + channels // factor, none otherwise."""
+    if not (t.delta <= k < t.delta + channels // t.factor):
+        return ()
+    base = (k - t.delta) * t.factor
+    return tuple(range(base, base + t.factor))
+
+
+def _keep(comp, scope, seed_component) -> bool:
+    return (scope == "full" or (scope == "conv" and comp.kind == "conv2d")
+            or (scope == "seed" and comp.comp_id == seed_component))
+
+
+def reference_group_l2_importance(ir, group, scope: str = "full",
+                                  seed_component: str | None = None) -> np.ndarray:
+    """Per canonical index k, the squared norms of the set of distinct
+    (tensor, axis, local index) slices that pruning k removes."""
+    hits: list[set] = [set() for _ in range(group.width)]
+    for m in group.members:
+        comp = ir.component(m.half.component_id)
+        if not _keep(comp, scope, seed_component):
+            continue
+        for sl in m.half.scheme.slices:
+            name = comp.params[sl.role]
+            for k in range(group.width):
+                for local in transform_locals(m.transform, k, m.half.channels):
+                    hits[k].add((name, sl.axis, local))
+    values = np.zeros(group.width, dtype=np.float64)
+    for k in range(group.width):
+        for name, axis, local in hits[k]:
+            piece = np.take(ir.weights[name], local, axis=axis)
+            values[k] += float((piece.astype(np.float64) ** 2).sum())
+    return values
+
+
+def reference_regularizer_grad(ir, groups, gammas, reg_weight: float,
+                               scope: str = "full") -> dict[str, np.ndarray]:
+    """2 * reg_weight * gamma_k * w[local] on every trainable slice in
+    scope, building each slice's coefficient one canonical index at a
+    time."""
+    grads: dict[str, np.ndarray] = {}
+    if reg_weight == 0:
+        return grads
+    for group in groups:
+        gamma = gammas[group.group_id].gamma
+        seen = set()
+        for m in group.members:
+            comp = ir.component(m.half.component_id)
+            if scope == "conv" and comp.kind != "conv2d":
+                continue
+            for sl in m.half.scheme.slices:
+                if sl.role in _ir.BUFFER_ROLES:
+                    continue
+                name = comp.params[sl.role]
+                if (name, sl.axis, m.transform) in seen:
+                    continue   # both halves of batchnorm / grouped conv
+                seen.add((name, sl.axis, m.transform))
+                w = ir.weights[name]
+                g = grads.setdefault(name, np.zeros_like(w))
+                coeff = np.zeros(w.shape[sl.axis], dtype=np.float64)
+                for k in range(group.width):
+                    for local in transform_locals(m.transform, k,
+                                                  m.half.channels):
+                        coeff[local] += gamma[k]
+                w_mv = np.moveaxis(w, sl.axis, 0)
+                g_mv = np.moveaxis(g, sl.axis, 0)
+                shape = (-1,) + (1,) * (w.ndim - 1)
+                g_mv += (2.0 * reg_weight * coeff.reshape(shape)
+                         * w_mv).astype(w.dtype)
+    return grads

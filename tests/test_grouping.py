@@ -11,7 +11,8 @@ from grouprune.ir import (NetworkIR, activation, conv2d, eltwise, init_weights,
 from grouprune.random_nets import random_ir
 from grouprune.reporting import read_csv
 
-from reference import boolean_closure, closure_components, literal_expansion
+from reference import (boolean_closure, closure_components, literal_expansion,
+                       transform_locals)
 
 
 def groups_as_sets(groups):
@@ -59,7 +60,7 @@ def test_transform_soundness_all_zoo_models():
             for m in g.members:
                 covered = 0
                 for k in range(g.width):
-                    locals_ = m.transform.apply(k, m.half.channels)
+                    locals_ = transform_locals(m.transform, k, m.half.channels)
                     covered += len(locals_)
                     assert all(0 <= l < m.half.channels for l in locals_)
                 assert covered == m.half.channels  # every local reachable

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +14,11 @@ from grouprune.grouping import extract_groups
 from grouprune.importance import (GroupImportance, default_topn,
                                   group_l2_importance, relative_score,
                                   select_prune_indices)
+from grouprune.pruning import _seed_component_for
 from grouprune.sparse import layer_pseudo_groups
+
+from conftest import oracle_models
+from reference import reference_group_l2_importance, transform_locals
 
 
 def middle_group(ir):
@@ -54,7 +63,7 @@ def test_residual_group_matches_naive_recount():
                 comp = ir.component(m.half.component_id)
                 for sl in m.half.scheme.slices:
                     name = comp.params[sl.role]
-                    for local in m.transform.apply(k, m.half.channels):
+                    for local in transform_locals(m.transform, k, m.half.channels):
                         key = (name, sl.axis, local)
                         if key in seen:
                             continue
@@ -98,6 +107,45 @@ def test_passthrough_members_contribute_zero():
         z.weights[name][:] = 0.0
     imp = group_l2_importance(z, g)
     np.testing.assert_array_equal(imp.values, 0.0)
+
+
+def test_importance_matches_set_oracle():
+    for name, ir in oracle_models():
+        for group in extract_groups(build_depgraph(ir)):
+            seed = _seed_component_for(group, ir)
+            for scope in ("full", "conv", "seed"):
+                got = group_l2_importance(ir, group, scope, seed).values
+                want = reference_group_l2_importance(ir, group, scope, seed)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
+                                           err_msg=f"{name} {group.group_id} {scope}")
+
+
+_DIGEST = """
+import hashlib
+from grouprune import zoo
+from grouprune.dependency import build_depgraph
+from grouprune.grouping import extract_groups
+from grouprune.importance import group_l2_importance
+from grouprune.random_nets import random_ir
+h = hashlib.sha256()
+for seed in range(20):
+    for ir in (zoo.residual_cnn(seed=seed), random_ir(seed)):
+        for g in extract_groups(build_depgraph(ir)):
+            h.update(group_l2_importance(ir, g).values.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_importance_independent_of_hash_seed():
+    """String hashing changes per process; the sum must not follow it."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", _DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # -- relative score -----------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from grouprune import ir as _ir
 from grouprune.errors import ModelParseError, ValidationError
 from grouprune.ir import (NetworkIR, batchnorm, conv2d, eltwise, init_weights,
-                          linear, load_model, save_model, scheme_of, split)
+                          linear, load_model, save_model, split)
 from grouprune import zoo
 
 
@@ -107,17 +107,18 @@ def test_passthrough_halves_equal():
     e = eltwise("e", 4, "add")
     assert _ir.scheme_for(e, "in") == _ir.scheme_for(e, "out")
     assert _ir.scheme_for(e, "in").is_passthrough
-    assert scheme_of(_ir.half_node(e, "in")) == scheme_of(_ir.half_node(e, "out"))
+    assert _ir.half_node(e, "in").scheme == _ir.half_node(e, "out").scheme
 
 
 def test_scheme_of_is_deterministic():
     ir = zoo.residual_cnn()
     for comp in ir.components:
         for side in ("in", "out"):
-            a = _ir.scheme_for(comp, side)
+            a = _ir.half_node(comp, side).scheme
             b = _ir.scheme_for(comp, side)
             assert a == b
-            assert a.scheme_id == b.scheme_id
+            assert hash(a) == hash(b)
+            assert a.slices == b.slices
 
 
 def test_half_channels_match_scheme_cardinality():

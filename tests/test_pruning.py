@@ -12,10 +12,9 @@ from grouprune.pruning import (PlanEntry, PrunePlan, boundary_roles,
                                build_learned_plan, build_uniform_plan,
                                end_to_end_prune, format_speedup_line,
                                min_keep_for, prunable_groups, prune, speedup)
-from grouprune.random_nets import random_ir
 
-from conftest import alternating_selection, zeroize_group
-from reference import reference_learned_plan
+from conftest import alternating_selection, oracle_models, zeroize_group
+from reference import reference_learned_plan, transform_locals
 
 
 def middle_plan(ir, indices):
@@ -265,20 +264,13 @@ STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
 MACS_FRACTIONS = (0.3, 0.5, 0.8, 1.0)
 
 
-def _oracle_models():
-    for name, build in sorted(zoo.BUNDLED.items()):
-        yield name, build(seed=11)
-    for seed in range(30):
-        yield f"random_ir({seed})", random_ir(seed)
-
-
 def _plan_macs(ir, groups, plan) -> int:
     """component_macs summed at the kept widths the plan leaves."""
     chosen = {e.group_id: e.indices for e in plan.entries}
     kept = {}
     for g in groups:
         for m in g.members:
-            removed = sum(len(m.transform.apply(k, m.half.channels))
+            removed = sum(len(transform_locals(m.transform, k, m.half.channels))
                           for k in chosen.get(g.group_id, ()))
             kept[m.half.node_id] = m.half.channels - removed
     shapes = engine.infer_shapes(ir)
@@ -289,7 +281,7 @@ def _plan_macs(ir, groups, plan) -> int:
 
 
 def test_learned_plan_matches_recounting_oracle():
-    for name, ir in _oracle_models():
+    for name, ir in oracle_models():
         groups = extract_groups(build_depgraph(ir))
         for strategy in STRATEGIES:
             for fraction in MACS_FRACTIONS:

@@ -13,9 +13,10 @@ from grouprune.ir import NetworkIR, init_weights, linear
 from grouprune.sparse import (SparseConfig, compute_gamma, layer_pseudo_groups,
                               near_zero_fraction, refresh_gamma,
                               regularizer_grad, regularizer_value,
-                              train_sparse)
+                              sparsity_groups, train_sparse)
 
-from reference import fd_scalar, grad_rel_err
+from conftest import oracle_models
+from reference import fd_scalar, grad_rel_err, reference_regularizer_grad
 
 
 def _imp(values):
@@ -112,6 +113,21 @@ def test_regularizer_only_updates_shrink_group_norms():
         if prev is not None:
             assert (totals <= prev + 1e-9).all()
         prev = totals
+
+
+def test_regularizer_grad_matches_index_loop_oracle():
+    for name, ir in oracle_models():
+        groups = extract_groups(build_depgraph(ir))
+        for strategy in ("full-grouping", "conv-only", "no-grouping"):
+            reg_groups, scope = sparsity_groups(ir, groups, strategy)
+            gammas = refresh_gamma(ir, reg_groups, scope, 4.0)
+            got = regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
+            want = reference_regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
+            assert sorted(got) == sorted(want), (name, strategy)
+            for tensor in want:
+                assert got[tensor].dtype == want[tensor].dtype
+                assert got[tensor].tobytes() == want[tensor].tobytes(), \
+                    (name, strategy, tensor)
 
 
 # -- training loop ------------------------------------------------------------
