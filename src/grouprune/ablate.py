@@ -20,6 +20,7 @@ from .pruning import build_learned_plan, build_uniform_plan, prune, speedup
 from .sparse import SparseConfig, train_sparse
 
 STRATEGIES = ("random", "no-grouping", "conv-only", "full-grouping")
+FINETUNE_EPOCHS = 5
 
 
 @dataclass
@@ -40,17 +41,17 @@ def make_model(dataset: str, seed: int):
     raise ValueError(f"unknown dataset {dataset!r}")
 
 
-def make_data(dataset: str, seed: int, n: int = 640):
+def make_data(dataset: str, seed: int):
     if dataset == "shapes":
-        x, y = shapes(n=n, seed=seed)
+        x, y = shapes(n=640, seed=seed)
     elif dataset == "spiral":
-        x, y = spiral(n_per_class=n // 2, seed=seed)
+        x, y = spiral(n_per_class=320, seed=seed)
     else:
         raise ValueError(f"unknown dataset {dataset!r}")
     return train_test_split(x, y, test_fraction=0.25, seed=seed)
 
 
-def _uniform_ratio_for_speedup(ir, groups, target: float, strategy, topn, rng):
+def _uniform_ratio_for_speedup(ir, groups, target: float, strategy, rng):
     """Binary-search the per-group ratio that reaches a target speedup.
 
     Returns the smallest probed ratio whose speedup reached the target
@@ -60,7 +61,7 @@ def _uniform_ratio_for_speedup(ir, groups, target: float, strategy, topn, rng):
     lo, hi = 0.0, 0.95
     for _ in range(18):
         mid = (lo + hi) / 2
-        plan = build_uniform_plan(ir, groups, mid, strategy, topn, rng)
+        plan = build_uniform_plan(ir, groups, mid, strategy, rng=rng)
         pruned = prune(ir, plan, groups)
         s = speedup(ir, pruned)
         if s < target:
@@ -73,33 +74,32 @@ def _uniform_ratio_for_speedup(ir, groups, target: float, strategy, topn, rng):
 
 
 def run_cell(dataset: str, strategy: str, target_speedup: float, mode: str,
-             seed: int, cfg: SparseConfig, finetune_epochs: int = 5,
-             topn: int | None = None) -> AblationCell:
+             seed: int, cfg: SparseConfig) -> AblationCell:
+    """Train, prune and fine-tune one cell. The "random" strategy trains
+    without a regularizer (sparse.sparsity_groups gives it no groups);
+    training changes weights only, so the groups extracted up front serve
+    planning and pruning too."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     (x_tr, y_tr), (x_te, y_te) = make_data(dataset, seed)
     ir = make_model(dataset, seed)
     groups = extract_groups(build_depgraph(ir))
-
-    cell_cfg = replace(cfg, seed=seed, strategy=strategy
-                       if strategy != "random" else "full-grouping",
-                       reg_weight=0.0 if strategy == "random" else cfg.reg_weight)
-    ir, _trace = train_sparse(ir, (x_tr, y_tr), cell_cfg, groups)
+    ir, _trace = train_sparse(ir, (x_tr, y_tr),
+                              replace(cfg, seed=seed, strategy=strategy), groups)
 
     rng = np.random.default_rng(seed + 1)
-    groups = extract_groups(build_depgraph(ir))
     if mode == "uniform":
         ratio = _uniform_ratio_for_speedup(ir, groups, target_speedup,
-                                           strategy, topn, rng)
-        plan = build_uniform_plan(ir, groups, ratio, strategy, topn,
-                                  np.random.default_rng(seed + 1))
+                                           strategy, rng)
+        plan = build_uniform_plan(ir, groups, ratio, strategy,
+                                  rng=np.random.default_rng(seed + 1))
     else:
         plan = build_learned_plan(ir, groups, 1.0 / target_speedup,
-                                  strategy, topn, rng)
+                                  strategy, rng=rng)
     pruned = prune(ir, plan, groups)
     achieved = speedup(ir, pruned)
 
-    ft_cfg = SparseConfig(epochs=finetune_epochs, reg_weight=0.0,
+    ft_cfg = SparseConfig(epochs=FINETUNE_EPOCHS, reg_weight=0.0,
                           lr=cfg.lr / 2, momentum=cfg.momentum,
                           batch_size=cfg.batch_size, seed=seed + 2)
     ft_groups = extract_groups(build_depgraph(pruned))
@@ -110,18 +110,16 @@ def run_cell(dataset: str, strategy: str, target_speedup: float, mode: str,
 
 
 def run_ablation(dataset: str, strategies, target_speedups, modes, seeds,
-                 cfg: SparseConfig | None = None, finetune_epochs: int = 5):
+                 cfg: SparseConfig):
     """Full grid; returns {(strategy, f"{speedup}x/{mode}"): median accuracy}
     plus the raw per-cell results."""
-    cfg = cfg or SparseConfig(epochs=12, reg_weight=5e-3, lr=0.05,
-                              batch_size=64)
     cells = []
     for strategy in strategies:
         for target in target_speedups:
             for mode in modes:
                 for seed in seeds:
                     cells.append(run_cell(dataset, strategy, target, mode,
-                                          seed, cfg, finetune_epochs))
+                                          seed, cfg))
     table = {}
     for strategy in strategies:
         for target in target_speedups:

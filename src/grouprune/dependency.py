@@ -9,9 +9,25 @@ Two local rules generate every edge:
 
 Path connectivity in this graph is what defines pruning groups; the
 builder itself never looks past directly connected pairs.
+
+Each edge also records how an index steps across it, once per direction,
+as ``(neighbour, shift, ratio)``: local index i of one half lines up with
+index ``i + shift`` of the neighbour, and one neighbour index spans
+``ratio`` of this half's indices. ``shift`` is the difference of the two
+port offsets (concat inputs and split outputs sit at an offset,
+everything else at 0) and the reverse step carries ``-shift``; ``ratio``
+is ``1/spatial_size`` from a flatten's input half to its output half,
+``spatial_size`` back, and 1 everywhere else. Parallel IR edges between
+the same halves keep one step each, and each half's steps are sorted by
+neighbour. This is the only walk over the IR's wiring; grouping reads
+the steps and never looks at the IR's edges.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
 
 from . import ir as _ir
 from .errors import GroupruneError
@@ -32,36 +48,32 @@ class DependencyGraph:
         self.ir = ir
         self.halves = ir.halves()
         self.index = {h.node_id: i for i, h in enumerate(self.halves)}
-        self.adj: dict[int, set[int]] = {i: set() for i in range(len(self.halves))}
+        self.steps: list[list[tuple[int, int, int | Fraction]]] = [
+            [] for _ in self.halves]
         self.labels: dict[frozenset[int], str] = {}
 
     @property
     def order(self) -> int:
         return len(self.halves)
 
-    def add_edge(self, a: int, b: int, label: str) -> None:
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+    def add_edge(self, a: int, b: int, label: str, shift: int,
+                 ratio: int | Fraction) -> None:
+        self.steps[a].append((b, shift, ratio))
+        self.steps[b].append((a, -shift, 1 if ratio == 1 else 1 / ratio))
         self.labels[frozenset((a, b))] = label
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self.adj[a]
+        return frozenset((a, b)) in self.labels
 
     def label(self, a: int, b: int) -> str | None:
         return self.labels.get(frozenset((a, b)))
 
-    def neighbors(self, a: int) -> list[int]:
-        return sorted(self.adj[a])
-
-    def dense(self):
+    def dense(self) -> np.ndarray:
         """0/1 adjacency matrix in canonical half order."""
-        import numpy as np
-
-        n = self.order
-        m = np.zeros((n, n), dtype=np.int8)
-        for a, nbrs in self.adj.items():
-            for b in nbrs:
-                m[a, b] = 1
+        m = np.zeros((self.order, self.order), dtype=np.int8)
+        for pair in self.labels:
+            a, b = tuple(pair)
+            m[a, b] = m[b, a] = 1
         return m
 
     def count(self, label: str) -> int:
@@ -71,19 +83,26 @@ class DependencyGraph:
 def build_depgraph(ir: "_ir.NetworkIR") -> DependencyGraph:
     """Construct the dependency graph of a validated IR.
 
-    Runs in O(L + |edges|): connectivity contributes one inter edge per IR
-    edge, and each component is checked once for scheme-equal halves.
+    Runs in O(L + |edges| log |edges|): connectivity contributes one inter
+    edge per IR edge, each component is checked once for scheme-equal
+    halves, and each half's steps are sorted once.
     """
     d = DependencyGraph(ir)
     for e in ir.edges:
-        a = d.index[f"{e.src}:out"]
-        b = d.index[f"{e.dst}:in"]
-        d.add_edge(a, b, INTER)
+        src = ir.component(e.src)
+        dst = ir.component(e.dst)
+        shift = (_ir.input_port_offset(dst, e.dst_port)
+                 - _ir.output_port_offset(src, e.src_port))
+        d.add_edge(d.index[f"{e.src}:out"], d.index[f"{e.dst}:in"], INTER,
+                   shift, 1)
     for comp in ir.components:
         if _ir.scheme_for(comp, "in") == _ir.scheme_for(comp, "out"):
-            a = d.index[f"{comp.comp_id}:in"]
-            b = d.index[f"{comp.comp_id}:out"]
-            d.add_edge(a, b, INTRA)
+            ratio = (Fraction(1, comp.attrs["spatial_size"])
+                     if comp.kind == "flatten" else 1)
+            d.add_edge(d.index[f"{comp.comp_id}:in"],
+                       d.index[f"{comp.comp_id}:out"], INTRA, 0, ratio)
+    for steps in d.steps:
+        steps.sort(key=lambda s: s[0])
     return d
 
 

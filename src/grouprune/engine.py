@@ -426,16 +426,15 @@ _BACKWARD = {
 # Shape inference and MAC counting
 
 
-def infer_shapes(ir, input_shape=None):
+def infer_shapes(ir):
     """Per-sample output shape of every component."""
-    input_shape = tuple(input_shape or ir.input_shape)
     feeds = _feed_map(ir)
     shapes: dict[str, tuple] = {}
 
     def port_shape(comp, port):
         feed = feeds[(comp.comp_id, port)]
         if feed[0] == "input":
-            return input_shape
+            return ir.input_shape
         _, src, src_port = feed
         shape = shapes[src]
         src_comp = ir.component(src)
@@ -495,11 +494,10 @@ def component_macs(comp, out_shape, c_in: int, c_out: int) -> int:
     return 0
 
 
-def count_macs(ir, input_shape=None) -> int:
+def count_macs(ir) -> int:
     """Multiply-accumulate count of one sample, summed over components
     (see component_macs)."""
-    input_shape = tuple(input_shape or ir.input_shape)
-    shapes = infer_shapes(ir, input_shape)
+    shapes = infer_shapes(ir)
     return sum(component_macs(comp, shapes[comp.comp_id],
                               _ir.in_channels(comp), _ir.out_channels(comp))
                for comp in ir.components)

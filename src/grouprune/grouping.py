@@ -35,7 +35,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import ir as _ir
-from .dependency import INTRA, DependencyGraph
+from .dependency import DependencyGraph
 from .errors import GroupingError, GroupruneError
 from .reporting import write_csv
 
@@ -115,6 +115,18 @@ class Group:
                     seen.add((name, sl.axis))
                     yield m, comp, sl.role, name, sl.axis
 
+    def port_windows(self, ir) -> list[set[int]]:
+        """Canonical indices behind each port of the group's concat and
+        split input halves; pruning all of one window empties its port."""
+        windows = []
+        for m in self.members:
+            comp = ir.component(m.half.component_id)
+            if m.half.side == "in" and comp.kind in ("concat", "split"):
+                canonical = m.transform.canonical(m.half.channels)
+                bounds = np.cumsum(comp.attrs["sizes"])[:-1]
+                windows += [set(w.tolist()) for w in np.split(canonical, bounds)]
+        return windows
+
     def __repr__(self):
         return (f"Group({self.group_id}, width={self.width}, "
                 f"members={sorted(self.member_ids())})")
@@ -131,52 +143,12 @@ def _fingerprint(members, width) -> str:
 
 # ---------------------------------------------------------------------------
 # Traversal with transform propagation
-
-# A directed step maps a member's (origin, scale) placement in the working
-# coordinate to its neighbor's. Steps:
-#   ("shift", d):  neighbor_local = local + d      -> (o - d*f, f)
-#   ("finer", s):  neighbor indexes s-times finer  -> (o, f/s)
-#   ("coarser", s): neighbor s-times coarser       -> (o, f*s)
-
-
-def _apply_step(step, placement):
-    kind, arg = step
-    o, f = placement
-    if kind == "shift":
-        return (o - arg * f, f)
-    if kind == "finer":
-        return (o, f / arg)
-    return (o, f * arg)
-
-
-def _step_maps(d: DependencyGraph):
-    """Directed traversal steps for every dependency edge."""
-    ir = d.ir
-    steps: dict[tuple[int, int], list] = {}
-
-    def add(a, b, fwd, bwd):
-        steps.setdefault((a, b), []).append(fwd)
-        steps.setdefault((b, a), []).append(bwd)
-
-    for e in ir.edges:
-        src = ir.component(e.src)
-        dst = ir.component(e.dst)
-        a = d.index[f"{e.src}:out"]
-        b = d.index[f"{e.dst}:in"]
-        shift = (_ir.input_port_offset(dst, e.dst_port)
-                 - _ir.output_port_offset(src, e.src_port))
-        add(a, b, ("shift", shift), ("shift", -shift))
-    for comp in ir.components:
-        a = d.index[f"{comp.comp_id}:in"]
-        b = d.index[f"{comp.comp_id}:out"]
-        if d.label(a, b) != INTRA:
-            continue
-        if comp.kind == "flatten":
-            s = comp.attrs["spatial_size"]
-            add(a, b, ("finer", s), ("coarser", s))
-        else:
-            add(a, b, ("shift", 0), ("shift", 0))
-    return steps
+#
+# A member's placement (o, f) puts its local index i at o + i*f in the
+# working coordinate of the traversal. A dependency step (neighbour, shift,
+# ratio) maps it to the neighbour's placement (o - shift*f, f*ratio).
+# Placements start as the ints (0, 1) and turn into Fractions only past a
+# flatten; identity steps, the common case, do no arithmetic at all.
 
 
 def _lcm_fraction(values: list[Fraction]) -> Fraction:
@@ -225,30 +197,27 @@ def _normalize(d: DependencyGraph, placements: dict[int, tuple]) -> tuple[int, d
                 f"inconsistent channel arithmetic between {first} and "
                 f"{halves[i].node_id}: {halves[i].channels} channels do not "
                 f"split into units of {factor}")
-        comp = d.ir.component(halves[i].component_id)
-        block = 1
-        if comp.kind == "conv2d" and comp.attrs.get("groups", 1) > 1:
-            block = _ir.conv_block_size(comp)
-        transforms[i] = IndexTransform(delta=delta, factor=factor,
-                                       block=block if block > 1 else 1)
+        block = selection_block(d.ir.component(halves[i].component_id))
+        transforms[i] = IndexTransform(delta=delta, factor=factor, block=block)
         if block > 1:
-            span = halves[i].channels // factor
-            blocks.append((delta, factor, span, block))
+            blocks.append((delta, factor, halves[i].channels // factor, block))
 
-    units = _selection_units(width, blocks)
+    units = selection_units(width, blocks)
     return width, transforms, units
 
 
-def _selection_units(width: int, blocks) -> tuple[tuple[int, ...], ...]:
-    """Partition canonical indices into atomic selection units.
+def selection_block(comp) -> int:
+    """Local indices that must be selected together: the channels of one
+    group of a grouped convolution, 1 for every other member."""
+    if comp.kind == "conv2d" and comp.attrs["groups"] > 1:
+        return _ir.conv_block_size(comp)
+    return 1
 
-    Each grouped-conv member forces every canonical index touching one of
-    its local channel groups to be selected together; overlapping grids
-    from several members merge via union-find.
-    """
-    if not blocks:
-        return tuple((k,) for k in range(width))
-    parent = list(range(width))
+
+def _union_roots(n: int, pairs) -> list[int]:
+    """Union-find over items 0..n-1 joined by pairs; returns each item's
+    root, which is the smallest item of its set."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -256,34 +225,44 @@ def _selection_units(width: int, blocks) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    def union(x, y):
+    for x, y in pairs:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
 
+
+def selection_units(width: int, blocks) -> tuple[tuple[int, ...], ...]:
+    """Partition canonical indices into atomic selection units.
+
+    blocks lists (delta, factor, span, block) per grouped-conv member: each
+    run of block local indices forces the canonical indices it touches to
+    be selected together, and overlapping runs from several members merge.
+    Units are ordered by their smallest index.
+    """
+    if not blocks:
+        return tuple((k,) for k in range(width))
+    pairs = []
     for delta, factor, span, block in blocks:
         n_local = span * factor
         for start in range(0, n_local, block):
-            ks = [delta + local // factor
-                  for local in range(start, min(start + block, n_local))]
-            for k in ks[1:]:
-                union(ks[0], k)
-    buckets: dict[int, list[int]] = {}
-    for k in range(width):
-        buckets.setdefault(find(k), []).append(k)
-    return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
+            first = delta + start // factor
+            last = delta + (min(start + block, n_local) - 1) // factor
+            pairs.extend((first, k) for k in range(first + 1, last + 1))
+    units: dict[int, list[int]] = {}
+    for k, root in enumerate(_union_roots(width, pairs)):
+        units.setdefault(root, []).append(k)
+    return tuple(tuple(u) for u in units.values())
 
 
-def extract_groups(d: DependencyGraph, ir: "_ir.NetworkIR" = None) -> list[Group]:
+def extract_groups(d: DependencyGraph) -> list[Group]:
     """All pruning groups of a network, in deterministic order.
 
     Single-pass connected components with a visited set (O(N+E)); members
-    are discovered breadth-first and transforms propagate along the way,
-    so an inconsistent pair fails immediately with both names.
+    are discovered breadth-first along the graph's steps and placements
+    propagate along the way, so an inconsistent pair fails immediately
+    with both names.
     """
-    if ir is not None and ir is not d.ir:
-        raise GroupingError("dependency graph was built from a different IR")
-    steps = _step_maps(d)
     halves = d.halves
     visited: set[int] = set()
     groups: list[Group] = []
@@ -291,21 +270,20 @@ def extract_groups(d: DependencyGraph, ir: "_ir.NetworkIR" = None) -> list[Group
     for seed in range(d.order):
         if seed in visited:
             continue
-        placements = {seed: (Fraction(0), Fraction(1))}
-        queue = [seed]
-        while queue:
-            a = queue.pop(0)
-            for b in d.neighbors(a):
-                for step in steps.get((a, b), []):
-                    cand = _apply_step(step, placements[a])
-                    if b in placements:
-                        if placements[b] != cand:
-                            raise GroupingError(
-                                "inconsistent channel arithmetic between "
-                                f"{halves[a].node_id} and {halves[b].node_id}")
-                    else:
-                        placements[b] = cand
-                        queue.append(b)
+        placements = {seed: (0, 1)}
+        order = [seed]
+        for a in order:   # breadth-first: order grows while it is walked
+            o, f = placements[a]
+            for b, shift, ratio in d.steps[a]:
+                cand = ((o, f) if shift == 0 and ratio == 1
+                        else (o - shift * f, f * ratio))
+                if b not in placements:
+                    placements[b] = cand
+                    order.append(b)
+                elif placements[b] != cand:
+                    raise GroupingError(
+                        "inconsistent channel arithmetic between "
+                        f"{halves[a].node_id} and {halves[b].node_id}")
         width, transforms, units = _normalize(d, placements)
         members = [GroupMember(halves[i], i, transforms[i])
                    for i in sorted(placements)]
@@ -337,28 +315,11 @@ class GroupingMatrix:
 def derive_grouping_matrix(d: DependencyGraph) -> GroupingMatrix:
     """Collapse the dependency graph to components and take connected
     components: component i couples with j iff any path joins them."""
-    ir = d.ir
-    n = len(ir.components)
-    comp_index = {c.comp_id: i for i, c in enumerate(ir.components)}
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pair in d.labels:
-        a, b = tuple(pair)
-        ca = comp_index[d.halves[a].component_id]
-        cb = comp_index[d.halves[b].component_id]
-        ra, rb = find(ca), find(cb)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    roots = np.array([find(i) for i in range(n)], dtype=np.int64)
+    # half h belongs to component h // 2 in the canonical half order
+    pairs = ((a // 2, b // 2) for a, b in map(tuple, d.labels))
+    roots = np.array(_union_roots(len(d.ir.components), pairs), dtype=np.int64)
     matrix = (roots[:, None] == roots[None, :]).astype(np.int8)
-    return GroupingMatrix([c.comp_id for c in ir.components], matrix)
+    return GroupingMatrix([c.comp_id for c in d.ir.components], matrix)
 
 
 def export_grouping(g: GroupingMatrix, path) -> None:

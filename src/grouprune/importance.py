@@ -73,8 +73,7 @@ def relative_score(imp: GroupImportance, n: int) -> np.ndarray:
     if not (1 <= n <= k):
         raise ValueError(f"n must be in [1, {k}], got {n}")
     order = sorted(range(k), key=lambda i: (-values[i], i))
-    top_mass = float(values[order[:n]].sum()) if isinstance(values, np.ndarray) \
-        else sum(values[i] for i in order[:n])
+    top_mass = float(values[order[:n]].sum())
     if top_mass == 0.0:
         return np.zeros(k, dtype=np.float64)
     return n * values / top_mass
@@ -87,26 +86,47 @@ def default_topn(width: int) -> int:
 @dataclass
 class PruneSelection:
     indices: tuple[int, ...]
-    clamped: bool
 
 
-def select_prune_indices(scores, ratio: float | None = None,
-                         threshold: float | None = None,
-                         min_keep: int = 1,
-                         units=None) -> PruneSelection:
+class PortGuard:
+    """Keeps at least one index of every window of canonical indices.
+
+    A window is the set of canonical indices behind one port of a concat
+    or split; pruning all of them would empty the port. take() refuses a
+    unit that holds the last remaining index of any window.
+    """
+
+    def __init__(self, windows):
+        self._windows: dict[int, list[set[int]]] = {}
+        for w in windows:
+            left = set(w)
+            for k in left:
+                self._windows.setdefault(k, []).append(left)
+
+    def take(self, unit) -> bool:
+        """Record the unit as pruned unless that empties a window; returns
+        whether it was recorded."""
+        hit = {id(w): w for k in unit for w in self._windows.get(k, ())}
+        if any(w <= set(unit) for w in hit.values()):
+            return False
+        for w in hit.values():
+            w.difference_update(unit)
+        return True
+
+
+def select_prune_indices(scores, ratio: float, min_keep: int = 1,
+                         units=None, windows=()) -> PruneSelection:
     """Lowest-scoring indices to prune, never leaving fewer than min_keep.
 
-    Exactly one of ratio/threshold must be given: ratio prunes
-    floor(ratio*K) indices; threshold prunes every index scoring below it.
-    Ties are pruned lower-index first. units, when given, are atomic index
-    sets that must be selected together (grouped convolutions); a unit's
-    score is the sum of its indices' scores.
+    Prunes floor(ratio*K) indices; ties are pruned lower-index first.
+    units, when given, are atomic index sets that must be selected
+    together (grouped convolutions); a unit's score is the sum of its
+    indices' scores. A unit that would take the last index of one of the
+    windows (see PortGuard) is skipped.
     """
     scores = np.asarray(scores, dtype=np.float64)
     k = len(scores)
-    if (ratio is None) == (threshold is None):
-        raise ValueError("give exactly one of ratio or threshold")
-    if ratio is not None and not (0 <= ratio < 1):
+    if not (0 <= ratio < 1):
         raise ValueError(f"ratio must be in [0, 1), got {ratio}")
     if min_keep < 1:
         raise ValueError("min_keep must be >= 1")
@@ -116,22 +136,13 @@ def select_prune_indices(scores, ratio: float | None = None,
     unit_score = [(float(sum(scores[i] for i in u)), u[0], u) for u in units]
     unit_score.sort(key=lambda t: (t[0], t[1]))
 
-    budget = int(ratio * k) if ratio is not None else k
+    budget = int(ratio * k)
+    guard = PortGuard(windows)
     chosen: list[int] = []
-    clamped = False
-    for s, _, u in unit_score:
-        if threshold is not None and s >= threshold * len(u):
+    for _, _, u in unit_score:
+        n = len(chosen) + len(u)
+        if n > budget or k - n < min_keep:
             break
-        if len(chosen) + len(u) > budget:
-            if ratio is not None:
-                break
-            # threshold mode: unit is below threshold but budget exhausted
-            clamped = True
-            break
-        if k - (len(chosen) + len(u)) < min_keep:
-            clamped = True
-            break
-        chosen.extend(u)
-    if ratio is not None and int(ratio * k) > k - min_keep:
-        clamped = True
-    return PruneSelection(tuple(sorted(chosen)), clamped)
+        if guard.take(u):
+            chosen.extend(u)
+    return PruneSelection(tuple(sorted(chosen)))

@@ -355,9 +355,6 @@ class NetworkIR:
     def component(self, comp_id: str) -> Component:
         return self.components[self._index[comp_id]]
 
-    def half(self, comp_id: str, side: str) -> HalfNode:
-        return half_node(self.component(comp_id), side)
-
     def halves(self) -> list[HalfNode]:
         """All 2L half nodes, component order, input half first."""
         out = []

@@ -19,8 +19,8 @@ from . import engine, ir as _ir
 from .dependency import build_depgraph
 from .errors import PruneError
 from .grouping import Group, extract_groups
-from .importance import (default_topn, group_l2_importance, relative_score,
-                         select_prune_indices)
+from .importance import (PortGuard, default_topn, group_l2_importance,
+                         relative_score, select_prune_indices)
 
 
 @dataclass
@@ -233,10 +233,10 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
     return pruned
 
 
-def speedup(ir_base, ir_pruned, input_shape=None) -> float:
+def speedup(ir_base, ir_pruned) -> float:
     """MACs(base) / MACs(pruned)."""
-    base = engine.count_macs(ir_base, input_shape)
-    pruned = engine.count_macs(ir_pruned, input_shape or ir_pruned.input_shape)
+    base = engine.count_macs(ir_base)
+    pruned = engine.count_macs(ir_pruned)
     if pruned == 0:
         raise PruneError("pruned network has zero MACs")
     return base / pruned
@@ -292,14 +292,16 @@ def build_uniform_plan(ir, groups, ratio: float, strategy: str = "full-grouping"
                        topn: int | None = None,
                        rng: np.random.Generator | None = None) -> PrunePlan:
     """Same prune ratio in every eligible group: floor(ratio * width)
-    lowest-scoring indices, honoring min_keep and atomic units."""
+    lowest-scoring indices, honoring min_keep, atomic units and the
+    group's concat/split port windows."""
     plan = PrunePlan(provenance={"criterion": strategy, "mode": "uniform",
                                  "ratio": ratio})
     for group in prunable_groups(ir, groups):
         scores = scores_for_strategy(ir, group, strategy, topn, rng)
         sel = select_prune_indices(scores, ratio=ratio,
                                    min_keep=min_keep_for(ir, group),
-                                   units=group.units)
+                                   units=group.units,
+                                   windows=group.port_windows(ir))
         plan.entries.append(PlanEntry(group.group_id, group.fingerprint,
                                       sel.indices))
     return plan
@@ -311,7 +313,8 @@ def build_learned_plan(ir, groups, macs_fraction: float,
                        rng: np.random.Generator | None = None) -> PrunePlan:
     """Global-threshold selection: greedily remove the lowest-scoring
     units across all groups until MACs drop to macs_fraction of the base,
-    honoring per-group min_keep.
+    honoring per-group min_keep and skipping any unit that would empty a
+    concat/split port window.
 
     MACs are tracked incrementally: every half keeps a count of its kept
     channels, and accepting a unit narrows only its own group's members
@@ -346,13 +349,15 @@ def build_learned_plan(ir, groups, macs_fraction: float,
 
     by_id = {g.group_id: g for g in eligible}
     min_keep = {g.group_id: min_keep_for(ir, g) for g in eligible}
+    guards = {g.group_id: PortGuard(g.port_windows(ir)) for g in eligible}
     selected: dict[str, set[int]] = {g.group_id: set() for g in eligible}
     current = base
     for _avg, gid, unit in candidates:
         if current <= target:
             break
         group = by_id[gid]
-        if group.width - len(selected[gid]) - len(unit) < min_keep[gid]:
+        if (group.width - len(selected[gid]) - len(unit) < min_keep[gid]
+                or not guards[gid].take(unit)):
             continue
         selected[gid].update(unit)
         touched = set()

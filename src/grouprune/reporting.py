@@ -44,32 +44,29 @@ def histogram(values, bins: int = 20, lo: float = 0.0, hi: float = 1.0):
     return edges, counts
 
 
-def emit_sparsity_histogram(trace, path, bins: int = 20, per_epoch: bool = False) -> None:
-    """Histogram of group-level sparsity from a training trace.
+def emit_sparsity_histogram(trace, path, bins: int = 20) -> None:
+    """Histogram of group-level sparsity in the final epoch of a training
+    trace.
 
     Each trace epoch holds per-(group, index) importance values; indices
     are binned by importance normalized to the max within their group, so
-    a fully zeroized group lands in the lowest bin. Emits the final epoch
-    unless per_epoch is set.
+    a fully zeroized group lands in the lowest bin.
     """
     if not trace:
         raise ValueError("empty sparsity trace")
-    epochs = trace if per_epoch else [trace[-1]]
-    header = ["epoch", "bin_lo", "bin_hi", "count"]
-    rows = []
-    for epoch_entry in epochs:
-        values = []
-        by_group: dict[str, list[float]] = {}
-        for group_id, _k, imp in epoch_entry["entries"]:
-            by_group.setdefault(group_id, []).append(imp)
-        for group_id, imps in by_group.items():
-            top = max(imps)
-            scale = top if top > 0 else 1.0
-            values.extend(v / scale for v in imps)
-        edges, counts = histogram(values, bins=bins)
-        for i, count in enumerate(counts):
-            rows.append([epoch_entry["epoch"], edges[i], edges[i + 1], count])
-    write_csv(path, header, rows)
+    last = trace[-1]
+    values = []
+    by_group: dict[str, list[float]] = {}
+    for group_id, _k, imp in last["entries"]:
+        by_group.setdefault(group_id, []).append(imp)
+    for imps in by_group.values():
+        top = max(imps)
+        scale = top if top > 0 else 1.0
+        values.extend(v / scale for v in imps)
+    edges, counts = histogram(values, bins=bins)
+    rows = [[last["epoch"], edges[i], edges[i + 1], count]
+            for i, count in enumerate(counts)]
+    write_csv(path, ["epoch", "bin_lo", "bin_hi", "count"], rows)
 
 
 def emit_trace(trace, path) -> None:

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import engine, ir as _ir
 from .errors import TrainingDiverged
-from .grouping import Group, GroupMember, IndexTransform
+from .grouping import (Group, GroupMember, IndexTransform, selection_block,
+                       selection_units)
 from .importance import (GroupImportance, _scope_keep,
                          group_l2_importance, sq_norms)
 
@@ -133,11 +134,8 @@ def layer_pseudo_groups(ir) -> list[Group]:
         half = _ir.half_node(comp, "out")
         member = GroupMember(half, index[half.node_id], IndexTransform())
         width = half.channels
-        block = _ir.conv_block_size(comp) if comp.kind == "conv2d" else 1
-        if comp.kind == "conv2d" and comp.attrs["groups"] > 1 and block > 1:
-            units = tuple(tuple(range(i, i + block)) for i in range(0, width, block))
-        else:
-            units = tuple((i,) for i in range(width))
+        block = selection_block(comp)
+        units = selection_units(width, [(0, 1, width, block)] if block > 1 else [])
         groups.append(Group(f"layer:{comp.comp_id}", [member], width, units))
     return groups
 

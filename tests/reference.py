@@ -395,10 +395,30 @@ def _virtual_macs(ir, shapes, kept: dict[str, int]) -> int:
     return total
 
 
+def reference_port_windows(ir, group) -> list[set[int]]:
+    """Per port of each concat/split input half of a group, the canonical
+    indices with a local index inside that port."""
+    windows = []
+    for m in group.members:
+        comp = ir.component(m.half.component_id)
+        if m.half.side != "in" or comp.kind not in ("concat", "split"):
+            continue
+        lo = 0
+        for size in comp.attrs["sizes"]:
+            windows.append({k for k in range(group.width)
+                            if any(lo <= local < lo + size for local in
+                                   transform_locals(m.transform, k,
+                                                    m.half.channels))})
+            lo += size
+    return windows
+
+
 def reference_learned_plan(ir, groups, macs_fraction: float,
                            strategy: str = "full-grouping",
                            topn: int | None = None, rng=None):
-    """Same contract as pruning.build_learned_plan, in O(units x halves)."""
+    """Same contract as pruning.build_learned_plan, in O(units x halves):
+    a unit is skipped when it breaks min_keep or when the group's selection
+    with it would cover a whole concat/split port window."""
     from grouprune.engine import infer_shapes
     from grouprune.pruning import (PlanEntry, PrunePlan, min_keep_for,
                                    prunable_groups, scores_for_strategy)
@@ -441,6 +461,9 @@ def reference_learned_plan(ir, groups, macs_fraction: float,
             break
         group = by_id[gid]
         if group.width - len(selected[gid]) - len(unit) < min_keep_for(ir, group):
+            continue
+        if any(w <= selected[gid] | set(unit)
+               for w in reference_port_windows(ir, group)):
             continue
         selected[gid].update(unit)
         current = _virtual_macs(ir, shapes, kept_channels())

@@ -15,6 +15,6 @@ def test_uniform_ratio_reaches_target_speedup(target):
     ir = zoo.residual_cnn(seed=0)
     groups = extract_groups(build_depgraph(ir))
     ratio = _uniform_ratio_for_speedup(ir, groups, target, "full-grouping",
-                                       None, np.random.default_rng(1))
+                                       np.random.default_rng(1))
     plan = build_uniform_plan(ir, groups, ratio, "full-grouping")
     assert speedup(ir, prune(ir, plan, groups)) >= target

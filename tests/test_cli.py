@@ -131,6 +131,20 @@ def test_prune_learned_mode(residual_model, tmp_path):
     assert pruned.validate() == []
 
 
+@pytest.mark.parametrize("model", ["concat_cnn", "split_cnn"])
+@pytest.mark.parametrize("mode", ["uniform", "learned"])
+def test_prune_no_grouping_keeps_every_port(model, mode, tmp_path):
+    """Layer-wise scores alone would empty a concat/split port here; the
+    plan builders keep one index of every port window instead."""
+    path = tmp_path / "model.json"
+    save_model(zoo.BUNDLED[model](seed=5), path)
+    out = tmp_path / "out"
+    rc = main(["prune", "--model", str(path), "--out", str(out), "--ratio",
+               "0.5", "--mode", mode, "--strategy", "no-grouping"])
+    assert rc == 0
+    assert load_model(out / "pruned.json").validate() == []
+
+
 def test_prune_determinism_byte_identical(residual_model, tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -1,3 +1,6 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -122,3 +125,33 @@ def test_export_empty_network_errors(tmp_path):
     d = build_depgraph(ir)
     with pytest.raises(GroupruneError, match="no components"):
         export_depgraph(d, tmp_path / "dep.csv")
+
+
+def _port_offset(comp, port, kind):
+    """Offset of a port inside a concat's input or a split's output,
+    summed from the sizes attribute."""
+    return sum(comp.attrs["sizes"][:port]) if comp.kind == kind else 0
+
+
+def test_edges_store_their_index_steps():
+    models = [build(seed=2) for _, build in sorted(zoo.BUNDLED.items())]
+    models += [random_ir(seed) for seed in range(25)]
+    for ir in models:
+        d = build_depgraph(ir)
+        expected = [[] for _ in d.halves]
+        for e in ir.edges:
+            a, b = d.index[f"{e.src}:out"], d.index[f"{e.dst}:in"]
+            shift = (_port_offset(ir.component(e.dst), e.dst_port, "concat")
+                     - _port_offset(ir.component(e.src), e.src_port, "split"))
+            expected[a].append((b, shift, 1))
+            expected[b].append((a, -shift, 1))
+        for c in ir.components:
+            if _ir.scheme_for(c, "in") != _ir.scheme_for(c, "out"):
+                continue
+            a, b = d.index[f"{c.comp_id}:in"], d.index[f"{c.comp_id}:out"]
+            s = c.attrs["spatial_size"] if c.kind == "flatten" else 1
+            expected[a].append((b, 0, Fraction(1, s)))
+            expected[b].append((a, 0, s))
+        for half, steps, want in zip(d.halves, d.steps, expected):
+            assert Counter(steps) == Counter(want), half.node_id
+            assert [s[0] for s in steps] == sorted(s[0] for s in steps)

@@ -235,30 +235,22 @@ def test_permutation_equivariance():
 def test_select_basic():
     sel = select_prune_indices([9, 1, 4], ratio=1 / 3, min_keep=1)
     assert sel.indices == (1,)
-    assert not sel.clamped
 
 
 def test_select_ratio_zero_is_empty():
     sel = select_prune_indices([9, 1, 4], ratio=0.0, min_keep=1)
     assert sel.indices == ()
-    assert not sel.clamped
 
 
 def test_select_clamps_to_min_keep():
     sel = select_prune_indices([4, 3, 2, 1], ratio=0.99, min_keep=2)
     assert len(sel.indices) == 2
-    assert sel.clamped
     assert sel.indices == (2, 3)
 
 
 def test_select_tie_breaks_toward_lower_index():
     sel = select_prune_indices([5, 2, 2, 2], ratio=0.5, min_keep=1)
     assert sel.indices == (1, 2)
-
-
-def test_select_threshold_mode():
-    sel = select_prune_indices([0.1, 0.9, 0.05, 0.5], threshold=0.2, min_keep=1)
-    assert sel.indices == (0, 2)
 
 
 def test_select_respects_units():
@@ -273,8 +265,6 @@ def test_select_respects_units():
 
 
 def test_select_rejects_bad_args():
-    with pytest.raises(ValueError):
-        select_prune_indices([1, 2], ratio=0.5, threshold=0.5)
     with pytest.raises(ValueError):
         select_prune_indices([1, 2], ratio=1.0)
     with pytest.raises(ValueError):

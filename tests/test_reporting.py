@@ -64,13 +64,6 @@ def test_sparsity_histogram_rejects_empty():
         emit_sparsity_histogram([], "unused.csv")
 
 
-def test_sparsity_histogram_per_epoch(tmp_path):
-    trace = _trace([[("g0", 0, 1.0)], [("g0", 0, 0.5)]])
-    emit_sparsity_histogram(trace, tmp_path / "h.csv", bins=2, per_epoch=True)
-    _h, rows = read_csv(tmp_path / "h.csv")
-    assert {r[0] for r in rows} == {"0", "1"}
-
-
 def test_trace_round_trip(tmp_path):
     trace = _trace([[("g0", 0, 0.25), ("g1", 3, 1.75)]])
     emit_trace(trace, tmp_path / "t.csv")
