@@ -1,6 +1,7 @@
 """Command-line interface: inspect, train, prune, ablate.
 
-Exit codes by failure category: 2 for parse/config problems, 3 for IR
+Exit codes by failure category: 2 for parse/config problems, among them
+a dataset whose samples do not fit the model (ShapeError), 3 for IR
 validation failures, 4 for I/O. One seed drives every stochastic choice.
 """
 
@@ -16,7 +17,7 @@ from . import engine
 from .ablate import STRATEGIES, make_data, run_ablation
 from .data import DATASETS
 from .dependency import build_depgraph, export_depgraph
-from .errors import (GroupingError, ModelParseError, PruneError,
+from .errors import (GroupingError, ModelParseError, PruneError, ShapeError,
                      TrainingDiverged, ValidationError)
 from .grouping import derive_grouping_matrix, export_grouping, extract_groups, group_report
 from .ir import load_model, save_model
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ModelParseError, ValueError) as exc:
+    except (ModelParseError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValidationError, GroupingError, PruneError,

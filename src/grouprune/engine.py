@@ -4,6 +4,13 @@ gradients, and MAC counting.
 Everything is float32 numpy, NCHW layout for image-domain tensors and
 (N, F) after flatten. Convolutions go through im2col; performance target
 is desk scale, seconds not throughput.
+
+Values are keyed per output port, (component id, port), and each input
+port reads the one value that `NetworkIR.feed` names. A kernel maps its
+input-port values to a list of output-port values, and its backward takes
+one gradient per output port and returns one per input port. Every kind has
+one output port except split, which returns the `np.split` views of its
+port windows and concatenates their gradients on the way back.
 """
 
 from __future__ import annotations
@@ -19,35 +26,9 @@ class Tape:
 
     def __init__(self, ir, records, out_id):
         self.ir = ir
-        self.records = records      # list of (comp, inputs_desc, ctx)
+        self.records = records      # list of (comp, ctx)
         self.out_id = out_id
         self.consumed = False
-
-
-def _feed_map(ir):
-    """(comp_id, port) -> ("input", None) | ("edge", producer, src_port)."""
-    feeds = {}
-    for e in ir.edges:
-        feeds[(e.dst, e.dst_port)] = ("edge", e.src, e.src_port)
-    for cid, port in ir.input_consumers:
-        feeds[(cid, port)] = ("input", None, None)
-    return feeds
-
-
-def _gather(ir, feeds, values, x, comp, port):
-    kind = feeds.get((comp.comp_id, port))
-    if kind is None:
-        raise ShapeError(f"{comp.comp_id}: input port {port} not connected")
-    if kind[0] == "input":
-        return x
-    _, src, src_port = kind
-    val = values[src]
-    src_comp = ir.component(src)
-    if src_comp.kind == "split":
-        lo = _ir.output_port_offset(src_comp, src_port)
-        hi = lo + _ir.output_port_channels(src_comp, src_port)
-        return val[:, lo:hi]
-    return val
 
 
 def forward(ir, x, mode: str = "eval"):
@@ -68,17 +49,17 @@ def forward(ir, x, mode: str = "eval"):
     if not np.isfinite(x).all():
         raise ShapeError("non-finite values in network input")
 
-    feeds = _feed_map(ir)
     values = {}
     records = []
     for comp in ir.topo_order():
-        ins = [_gather(ir, feeds, values, x, comp, p)
-               for p in range(_ir.num_input_ports(comp))]
-        out, ctx = _FORWARD[comp.kind](comp, ins, ir.weights, mode)
-        values[comp.comp_id] = out
+        feeds = [ir.feed(comp.comp_id, p) for p in range(_ir.num_input_ports(comp))]
+        ins = [x if e is None else values[e.src, e.src_port] for e in feeds]
+        outs, ctx = _FORWARD[comp.kind](comp, ins, ir.weights, mode)
+        for port, out in enumerate(outs):
+            values[comp.comp_id, port] = out
         records.append((comp, ctx))
     out_id = ir.exit_component().comp_id
-    y = values[out_id]
+    y = values[out_id, 0]
     if mode == "train":
         return y, Tape(ir, records, out_id)
     return y
@@ -94,15 +75,13 @@ def backward(tape: Tape, dout: np.ndarray) -> dict[str, np.ndarray]:
         raise ShapeError("tape already consumed by a previous backward pass")
     tape.consumed = True
     ir = tape.ir
-    feeds = _feed_map(ir)
 
-    dvalues: dict[str, np.ndarray] = {tape.out_id: np.asarray(dout, dtype=np.float32)}
+    dvalues = {(tape.out_id, 0): np.asarray(dout, dtype=np.float32)}
     grads: dict[str, np.ndarray] = {}
     for comp, ctx in reversed(tape.records):
-        dout_c = dvalues.pop(comp.comp_id, None)
-        if dout_c is None:
-            continue  # dead branch; cannot happen on a validated IR
-        dins, dparams = _BACKWARD[comp.kind](comp, ctx, dout_c, ir.weights)
+        douts = [dvalues.pop((comp.comp_id, p))
+                 for p in range(_ir.num_output_ports(comp))]
+        dins, dparams = _BACKWARD[comp.kind](comp, ctx, ir.weights, *douts)
         for role, g in dparams.items():
             name = comp.params[role]
             if name in grads:
@@ -110,24 +89,11 @@ def backward(tape: Tape, dout: np.ndarray) -> dict[str, np.ndarray]:
             else:
                 grads[name] = g
         for port, din in enumerate(dins):
-            feed = feeds[(comp.comp_id, port)]
-            if feed[0] == "input":
+            e = ir.feed(comp.comp_id, port)
+            if e is None:
                 continue
-            _, src, src_port = feed
-            src_comp = ir.component(src)
-            if src_comp.kind == "split":
-                buf = dvalues.get(src)
-                if buf is None:
-                    n = din.shape[0]
-                    total = _ir.out_channels(src_comp)
-                    buf = np.zeros((n, total) + din.shape[2:], dtype=np.float32)
-                    dvalues[src] = buf
-                lo = _ir.output_port_offset(src_comp, src_port)
-                buf[:, lo:lo + din.shape[1]] += din
-            elif src in dvalues:
-                dvalues[src] = dvalues[src] + din
-            else:
-                dvalues[src] = din.copy()
+            key = (e.src, e.src_port)
+            dvalues[key] = dvalues[key] + din if key in dvalues else din
     return grads
 
 
@@ -150,10 +116,10 @@ def _fwd_linear(comp, ins, weights, mode):
     out = x @ w.T
     if "bias" in comp.params:
         out = out + weights[comp.params["bias"]]
-    return out, {"x": x}
+    return [out], {"x": x}
 
 
-def _bwd_linear(comp, ctx, dout, weights):
+def _bwd_linear(comp, ctx, weights, dout):
     w = weights[comp.params["weight"]]
     x = ctx["x"]
     dparams = {"weight": dout.T @ x}
@@ -214,10 +180,10 @@ def _fwd_conv2d(comp, ins, weights, mode):
     out = out.reshape(n, a["out_channels"], oh, ow)
     if "bias" in comp.params:
         out = out + weights[comp.params["bias"]].reshape(1, -1, 1, 1)
-    return out, {"cols_g": cols_g, "x_shape": x.shape, "geom": (k, s, p, oh, ow)}
+    return [out], {"cols_g": cols_g, "x_shape": x.shape, "geom": (k, s, p, oh, ow)}
 
 
-def _bwd_conv2d(comp, ctx, dout, weights):
+def _bwd_conv2d(comp, ctx, weights, dout):
     a = comp.attrs
     g = a["groups"]
     cg, ocg = a["in_channels"] // g, a["out_channels"] // g
@@ -261,11 +227,11 @@ def _fwd_batchnorm(comp, ins, weights, mode):
     istd = 1.0 / np.sqrt(var + eps)
     xhat = (x - _per_channel(mu, x.ndim)) * _per_channel(istd, x.ndim)
     out = xhat * _per_channel(gamma, x.ndim) + _per_channel(beta, x.ndim)
-    return out.astype(np.float32), {"xhat": xhat, "istd": istd, "axes": axes,
-                                    "mode": mode, "n": x.size // c}
+    return [out.astype(np.float32)], {"xhat": xhat, "istd": istd, "axes": axes,
+                                      "mode": mode, "n": x.size // c}
 
 
-def _bwd_batchnorm(comp, ctx, dout, weights):
+def _bwd_batchnorm(comp, ctx, weights, dout):
     gamma = weights[comp.params["gamma"]]
     xhat, istd, axes = ctx["xhat"], ctx["istd"], ctx["axes"]
     dgamma = (dout * xhat).sum(axis=axes)
@@ -287,14 +253,14 @@ def _fwd_activation(comp, ins, weights, mode):
     fn = comp.attrs["fn"]
     if fn == "relu":
         out = np.maximum(x, 0)
-        return out, {"mask": x > 0}
+        return [out], {"mask": x > 0}
     if fn == "tanh":
         out = np.tanh(x)
-        return out, {"out": out}
-    return x, {}
+        return [out], {"out": out}
+    return [x], {}
 
 
-def _bwd_activation(comp, ctx, dout, weights):
+def _bwd_activation(comp, ctx, weights, dout):
     fn = comp.attrs["fn"]
     if fn == "relu":
         return [dout * ctx["mask"]], {}
@@ -314,14 +280,14 @@ def _fwd_pool(comp, ins, weights, mode):
                          f"kernel {k}")
     win = x.reshape(n, c, h // k, k, w // k, k)
     if comp.attrs["op"] == "avg":
-        return win.mean(axis=(3, 5)), {"x_shape": x.shape}
+        return [win.mean(axis=(3, 5))], {"x_shape": x.shape}
     flat = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return out, {"arg": arg, "x_shape": x.shape}
+    return [out], {"arg": arg, "x_shape": x.shape}
 
 
-def _bwd_pool(comp, ctx, dout, weights):
+def _bwd_pool(comp, ctx, weights, dout):
     k = comp.attrs["kernel"]
     n, c, h, w = ctx["x_shape"]
     if comp.attrs["op"] == "avg":
@@ -340,11 +306,11 @@ def _fwd_eltwise(comp, ins, weights, mode):
         raise ShapeError(f"{comp.comp_id}: operand shapes differ: "
                          f"{a.shape} vs {b.shape}")
     if comp.attrs["op"] == "add":
-        return a + b, {}
-    return a * b, {"a": a, "b": b}
+        return [a + b], {}
+    return [a * b], {"a": a, "b": b}
 
 
-def _bwd_eltwise(comp, ctx, dout, weights):
+def _bwd_eltwise(comp, ctx, weights, dout):
     if comp.attrs["op"] == "add":
         return [dout, dout], {}
     return [dout * ctx["b"], dout * ctx["a"]], {}
@@ -356,29 +322,24 @@ def _fwd_concat(comp, ins, weights, mode):
         if arr.shape[1] != want:
             raise ShapeError(f"{comp.comp_id}: port {i} expected {want} "
                              f"channels, got {arr.shape[1]}")
-    return np.concatenate(ins, axis=1), {"sizes": sizes}
+    return [np.concatenate(ins, axis=1)], {"sizes": sizes}
 
 
-def _bwd_concat(comp, ctx, dout, weights):
-    sizes = ctx["sizes"]
-    dins = []
-    lo = 0
-    for s in sizes:
-        dins.append(dout[:, lo:lo + s])
-        lo += s
-    return dins, {}
+def _bwd_concat(comp, ctx, weights, dout):
+    return np.split(dout, np.cumsum(ctx["sizes"])[:-1], axis=1), {}
 
 
 def _fwd_split(comp, ins, weights, mode):
     (x,) = ins
-    if x.shape[1] != sum(comp.attrs["sizes"]):
-        raise ShapeError(f"{comp.comp_id}: expected {sum(comp.attrs['sizes'])} "
+    sizes = comp.attrs["sizes"]
+    if x.shape[1] != sum(sizes):
+        raise ShapeError(f"{comp.comp_id}: expected {sum(sizes)} "
                          f"channels, got {x.shape[1]}")
-    return x, {}
+    return np.split(x, np.cumsum(sizes)[:-1], axis=1), {}
 
 
-def _bwd_split(comp, ctx, dout, weights):
-    return [dout], {}
+def _bwd_split(comp, ctx, weights, *douts):
+    return [np.concatenate(douts, axis=1)], {}
 
 
 def _fwd_flatten(comp, ins, weights, mode):
@@ -390,10 +351,10 @@ def _fwd_flatten(comp, ins, weights, mode):
     if c != a["channels"] or h * w != a["spatial_size"]:
         raise ShapeError(f"{comp.comp_id}: declared {a['channels']} channels x "
                          f"{a['spatial_size']} spatial, got {c} x {h * w}")
-    return x.reshape(n, c * h * w), {"x_shape": x.shape}
+    return [x.reshape(n, c * h * w)], {"x_shape": x.shape}
 
 
-def _bwd_flatten(comp, ctx, dout, weights):
+def _bwd_flatten(comp, ctx, weights, dout):
     return [dout.reshape(ctx["x_shape"])], {}
 
 
@@ -427,53 +388,66 @@ _BACKWARD = {
 
 
 def infer_shapes(ir):
-    """Per-sample output shape of every component."""
-    feeds = _feed_map(ir)
+    """Per-sample output shape of every component; a split's is the shape
+    of its whole input.
+
+    Raises ShapeError naming the first component, in topological order,
+    whose inputs do not fit it: a rank it cannot take, operands that
+    differ beyond the channel axis, or a spatial size that does not work
+    out.
+    """
     shapes: dict[str, tuple] = {}
 
-    def port_shape(comp, port):
-        feed = feeds[(comp.comp_id, port)]
-        if feed[0] == "input":
+    def port_shape(e):
+        if e is None:
             return ir.input_shape
-        _, src, src_port = feed
-        shape = shapes[src]
-        src_comp = ir.component(src)
-        if src_comp.kind == "split":
-            return (_ir.output_port_channels(src_comp, src_port),) + shape[1:]
-        return shape
+        src = ir.component(e.src)
+        return (_ir.output_port_channels(src, e.src_port),) + shapes[e.src][1:]
 
     for comp in ir.topo_order():
-        ins = [port_shape(comp, p) for p in range(_ir.num_input_ports(comp))]
-        a = comp.attrs
+        cid, a = comp.comp_id, comp.attrs
+        ins = [port_shape(ir.feed(cid, p))
+               for p in range(_ir.num_input_ports(comp))]
+        rank = _INPUT_RANK.get(comp.kind)
+        if rank is not None and len(ins[0]) != rank:
+            raise ShapeError(f"{cid}: {comp.kind} expects a rank-{rank} input "
+                             f"per sample, got {ins[0]}")
+        if len({s[1:] for s in ins}) > 1:
+            raise ShapeError(f"{cid}: operand shapes differ beyond the "
+                             f"channel axis: {ins}")
         if comp.kind == "linear":
-            shapes[comp.comp_id] = (a["out_features"],)
+            shapes[cid] = (a["out_features"],)
         elif comp.kind == "conv2d":
             k, s, p = a["kernel"], a["stride"], a["padding"]
             _, h, w = ins[0]
             oh = (h + 2 * p - k) // s + 1
             ow = (w + 2 * p - k) // s + 1
             if oh <= 0 or ow <= 0:
-                raise ShapeError(f"{comp.comp_id}: non-positive output size")
-            shapes[comp.comp_id] = (a["out_channels"], oh, ow)
+                raise ShapeError(f"{cid}: non-positive output size")
+            shapes[cid] = (a["out_channels"], oh, ow)
         elif comp.kind == "pool":
             c, h, w = ins[0]
             k = a["kernel"]
             if h % k or w % k:
-                raise ShapeError(f"{comp.comp_id}: spatial {h}x{w} not "
+                raise ShapeError(f"{cid}: spatial {h}x{w} not "
                                  f"divisible by kernel {k}")
-            shapes[comp.comp_id] = (c, h // k, w // k)
+            shapes[cid] = (c, h // k, w // k)
         elif comp.kind == "flatten":
             c, h, w = ins[0]
             if h * w != a["spatial_size"]:
-                raise ShapeError(f"{comp.comp_id}: spatial_size {a['spatial_size']} "
+                raise ShapeError(f"{cid}: spatial_size {a['spatial_size']} "
                                  f"!= actual {h * w}")
-            shapes[comp.comp_id] = (c * h * w,)
+            shapes[cid] = (c * h * w,)
         elif comp.kind == "concat":
-            total = sum(s[0] for s in ins)
-            shapes[comp.comp_id] = (total,) + ins[0][1:]
+            shapes[cid] = (sum(s[0] for s in ins),) + ins[0][1:]
         else:
-            shapes[comp.comp_id] = ins[0]
+            shapes[cid] = ins[0]
     return shapes
+
+
+# Per-sample input rank of the kinds that take only one; the rest take
+# (C,) as well as (C, H, W).
+_INPUT_RANK = {"linear": 1, "conv2d": 3, "pool": 3, "flatten": 3}
 
 
 def component_macs(comp, out_shape, c_in: int, c_out: int) -> int:

@@ -15,11 +15,12 @@ produces intra-component dependency edges.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ModelParseError, ValidationError
+from .errors import ModelParseError, ShapeError, ValidationError
 
 FORMAT_NAME = "grouprune-model"
 FORMAT_VERSION = 1
@@ -327,9 +328,10 @@ class NetworkIR:
     port) pairs that read the raw network input.
 
     The topology (components, edges, input consumers) is immutable after
-    construction: consumers are indexed once here, and the exit component
-    and topological order are computed on first use and then reused. Only
-    the weight store may change.
+    construction: consumers and input ports are indexed once here, and the
+    exit component and topological order are computed on first use and
+    then reused. Only the weight store may change. `feed(comp_id, port)`
+    answers which producer port feeds an input port.
     """
 
     def __init__(self, components, edges, input_shape, input_consumers,
@@ -345,8 +347,13 @@ class NetworkIR:
         if len(self._index) != len(self.components):
             raise ModelParseError("duplicate component ids")
         self._consumers: dict[str, list[Edge]] = {}
+        # (dst, port) -> its feeds; None stands for the raw network input
+        self._feeds: dict[tuple[str, int], list[Edge | None]] = {}
         for e in self.edges:
             self._consumers.setdefault(e.src, []).append(e)
+            self._feeds.setdefault((e.dst, e.dst_port), []).append(e)
+        for cid, port in self.input_consumers:
+            self._feeds.setdefault((cid, port), []).append(None)
         self._exit: Component | None = None
         self._topo: list[Component] | None = None
 
@@ -369,6 +376,15 @@ class NetworkIR:
 
     def consumers_of(self, comp_id: str) -> list[Edge]:
         return list(self._consumers.get(comp_id, ()))
+
+    def feed(self, comp_id: str, port: int) -> Edge | None:
+        """The edge feeding an input port, or None for the raw network
+        input; raises ValidationError unless the port is fed exactly once."""
+        srcs = self._feeds.get((comp_id, port), ())
+        if len(srcs) != 1:
+            fault = f"fed {len(srcs)} times" if srcs else "not connected"
+            raise ValidationError(f"{comp_id}: input port {port} {fault}")
+        return srcs[0]
 
     def exit_component(self) -> Component:
         if self._exit is None:
@@ -414,6 +430,9 @@ class NetworkIR:
         """Returns a list of violations; empty means the IR is valid."""
         v: list[str] = []
         ids = set(self._index)
+        if len(self.input_shape) not in (1, 3) or min(self.input_shape) <= 0:
+            v.append(f"input_shape must be (C,) or (C, H, W) of positive ints, "
+                     f"got {self.input_shape}")
 
         for comp in self.components:
             v.extend(_check_attrs(comp))
@@ -421,38 +440,29 @@ class NetworkIR:
         for e in self.edges:
             if e.src not in ids or e.dst not in ids:
                 v.append(f"edge {e} references unknown component")
+        for cid, _port in self.input_consumers:
+            if cid not in ids:
+                v.append(f"input consumer {cid!r} unknown")
         if v:
             return v
 
         # port wiring: every input port fed exactly once
-        feeds: dict[tuple[str, int], list] = {}
-        for e in self.edges:
-            feeds.setdefault((e.dst, e.dst_port), []).append(("edge", e))
-        for cid, port in self.input_consumers:
-            if cid not in ids:
-                v.append(f"input consumer {cid!r} unknown")
-                continue
-            feeds.setdefault((cid, port), []).append(("input", None))
-        ports_fed: dict[str, list[int]] = {}
-        for cid, port in feeds:
-            ports_fed.setdefault(cid, []).append(port)
         for comp in self.components:
             for port in range(num_input_ports(comp)):
-                srcs = feeds.get((comp.comp_id, port), [])
-                if len(srcs) == 0:
-                    v.append(f"{comp.comp_id}: input port {port} not connected")
-                elif len(srcs) > 1:
-                    v.append(f"{comp.comp_id}: input port {port} fed {len(srcs)} times")
-            extra = [p for p in ports_fed.get(comp.comp_id, ())
-                     if p >= num_input_ports(comp)]
-            for p in sorted(extra):
-                v.append(f"{comp.comp_id}: no such input port {p}")
+                try:
+                    self.feed(comp.comp_id, port)
+                except ValidationError as exc:
+                    v.extend(exc.violations)
 
-        # channel agreement along edges and from the raw input
+        # existing ports, and channel agreement along edges and from the
+        # raw input
         for e in self.edges:
             src, dst = self.component(e.src), self.component(e.dst)
-            if e.src_port >= num_output_ports(src):
+            if not 0 <= e.src_port < num_output_ports(src):
                 v.append(f"{src.comp_id}: no such output port {e.src_port}")
+                continue
+            if not 0 <= e.dst_port < num_input_ports(dst):
+                v.append(f"{dst.comp_id}: no such input port {e.dst_port}")
                 continue
             a = output_port_channels(src, e.src_port)
             b = input_port_channels(dst, e.dst_port)
@@ -461,19 +471,24 @@ class NetworkIR:
                          f"({a}) -> {dst.comp_id}:in[{e.dst_port}] ({b})")
         for cid, port in self.input_consumers:
             comp = self.component(cid)
+            if not 0 <= port < num_input_ports(comp):
+                v.append(f"{cid}: no such input port {port}")
+                continue
             want = input_port_channels(comp, port)
             if want != self.input_channels:
                 v.append(f"network input has {self.input_channels} channels but "
                          f"{cid}:in[{port}] expects {want}")
 
-        # single output, every split port consumed, DAG-ness
+        # single output (port 0 of the sink), every split port consumed,
+        # DAG-ness
         sinks = []
         for comp in self.components:
             ports = set(range(num_output_ports(comp)))
             used = {e.src_port for e in self._consumers.get(comp.comp_id, ())}
             if not used:
                 sinks.append(comp.comp_id)
-            elif ports - used:
+                used = {0}
+            if ports - used:
                 v.append(f"{comp.comp_id}: output port(s) {sorted(ports - used)} unused")
         if len(sinks) != 1:
             v.append(f"expected exactly one network output, found {len(sinks)}: {sorted(sinks)}")
@@ -499,6 +514,16 @@ class NetworkIR:
                              f"{tuple(arr.shape)}, expected {shape}")
                 elif not np.isfinite(arr).all():
                     v.append(f"{comp.comp_id}: tensor {name!r} contains NaN/Inf")
+                elif role == "running_var" and (arr < 0).any():
+                    v.append(f"{comp.comp_id}: tensor {name!r} has a negative variance")
+
+        # tensor shapes along the wiring, once the wiring itself holds
+        if not v:
+            from .engine import infer_shapes
+            try:
+                infer_shapes(self)
+            except ShapeError as exc:
+                v.append(str(exc))
         return v
 
     def check_valid(self) -> "NetworkIR":
@@ -511,6 +536,11 @@ class NetworkIR:
 def _is_int(x) -> bool:
     """An int that is not a bool (True is an int in Python)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A non-bool int or a finite float."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
 def _check_attrs(comp: Component) -> list[str]:
@@ -545,6 +575,11 @@ def _check_attrs(comp: Component) -> list[str]:
                          f"channels, got {a['in_channels']} != {a['out_channels']}")
     elif k == "batchnorm":
         need("num_features")
+        if "eps" in a:
+            need("eps", lambda x: _is_real(x) and x > 0, "positive number")
+        if "momentum" in a:
+            need("momentum", lambda x: _is_real(x) and 0 <= x <= 1,
+                 "number in [0, 1]")
     elif k == "activation":
         need("channels")
         if a.get("fn") not in ACTIVATIONS:
@@ -629,6 +664,25 @@ def save_model(ir: NetworkIR, path) -> None:
     (path.parent / blob_name).write_bytes(b"".join(chunks))
 
 
+def _is_count(x) -> bool:
+    return _is_int(x) and x >= 0
+
+
+# The descriptor's field types, by the phrase that names them in errors.
+_FIELD_TYPES = {
+    "a string": lambda x: isinstance(x, str),
+    "an int": _is_int,
+    "a non-negative int": _is_count,
+    "a list": lambda x: isinstance(x, list),
+    "a list of ints": lambda x: isinstance(x, list) and all(map(_is_int, x)),
+    "a list of non-negative ints":
+        lambda x: isinstance(x, list) and all(map(_is_count, x)),
+    "an object": lambda x: isinstance(x, dict),
+    "an object of strings":
+        lambda x: isinstance(x, dict) and all(isinstance(v, str) for v in x.values()),
+}
+
+
 def load_model(path) -> NetworkIR:
     """Parse a model descriptor and its weight blob into a validated IR.
 
@@ -647,41 +701,59 @@ def load_model(path) -> NetworkIR:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
-    for key in ("format", "components", "edges", "input_shape",
-                "input_consumers", "tensors", "weights_file"):
-        if key not in doc:
-            raise ModelParseError(f"{path}: missing field {key!r}")
-    if doc["format"] != FORMAT_NAME:
-        raise ModelParseError(f"{path}: unknown format {doc['format']!r}")
-
-    def field_of(entry, what, key):
+    def get(entry, where, key, want):
+        if not isinstance(entry, dict):
+            raise ModelParseError(f"{path}: {where} must be an object, "
+                                  f"got {entry!r:.60}")
         if key not in entry:
-            raise ModelParseError(f"{path}: {what} missing field {key!r}")
+            raise ModelParseError(f"{path}: {where} missing field {key!r}")
+        if not _FIELD_TYPES[want](entry[key]):
+            raise ModelParseError(f"{path}: {where} field {key!r} must be "
+                                  f"{want}, got {entry[key]!r:.60}")
         return entry[key]
 
-    comps = [Component(field_of(c, "component", "id"),
-                       field_of(c, "component", "kind"),
-                       dict(field_of(c, "component", "attrs")),
-                       dict(c.get("params", {})))
-             for c in doc["components"]]
-    edges = [Edge(field_of(e, f"edge {i}", "src"), e.get("src_port", 0),
-                  field_of(e, f"edge {i}", "dst"), e.get("dst_port", 0))
-             for i, e in enumerate(doc["edges"])]
-    consumers = [(field_of(c, f"input consumer {i}", "dst"), c.get("dst_port", 0))
-                 for i, c in enumerate(doc["input_consumers"])]
+    top = {key: get(doc, "descriptor", key, want) for key, want in (
+        ("format", "a string"), ("components", "a list"), ("edges", "a list"),
+        ("input_shape", "a list of ints"), ("input_consumers", "a list"),
+        ("tensors", "an object"), ("weights_file", "a string"))}
+    if top["format"] != FORMAT_NAME:
+        raise ModelParseError(f"{path}: unknown format {top['format']!r}")
 
-    blob_path = path.parent / doc["weights_file"]
+    # params and ports may be left out; each is read only after an earlier
+    # get() has checked that its entry is an object
+    comps = []
+    for i, c in enumerate(top["components"]):
+        where = f"component {i}"
+        comps.append(Component(
+            get(c, where, "id", "a string"), get(c, where, "kind", "a string"),
+            dict(get(c, where, "attrs", "an object")),
+            dict(get(c, where, "params", "an object of strings")
+                 if "params" in c else {})))
+    edges = []
+    for i, e in enumerate(top["edges"]):
+        where = f"edge {i}"
+        src, dst = get(e, where, "src", "a string"), get(e, where, "dst", "a string")
+        ports = [get(e, where, key, "an int") if key in e else 0
+                 for key in ("src_port", "dst_port")]
+        edges.append(Edge(src, ports[0], dst, ports[1]))
+    consumers = [(get(c, f"input consumer {i}", "dst", "a string"),
+                  get(c, f"input consumer {i}", "dst_port", "an int")
+                  if "dst_port" in c else 0)
+                 for i, c in enumerate(top["input_consumers"])]
+
+    blob_path = path.parent / top["weights_file"]
     blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
 
     weights = {}
-    for name, meta in doc["tensors"].items():
-        shape = tuple(meta["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        off = meta["offset"]
+    for name, meta in top["tensors"].items():
+        where = f"tensor {name!r}"
+        shape = tuple(get(meta, where, "shape", "a list of non-negative ints"))
+        off = get(meta, where, "offset", "a non-negative int")
+        n = math.prod(shape)
         if off + n > blob.size:
             raise ModelParseError(
                 f"{path}: tensor {name!r} extends past end of weight blob")
         weights[name] = blob[off:off + n].reshape(shape).copy()
 
-    ir = NetworkIR(comps, edges, doc["input_shape"], consumers, weights)
+    ir = NetworkIR(comps, edges, top["input_shape"], consumers, weights)
     return ir.check_valid()

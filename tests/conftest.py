@@ -3,8 +3,15 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+
+# One profile for every property test: no per-example deadline (shared
+# hosts make timings noisy), and a failure prints the blob that
+# reproduces it with @reproduce_failure.
+settings.register_profile("tier1", deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 from reference import transform_locals  # noqa: E402
 

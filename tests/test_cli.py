@@ -93,6 +93,70 @@ def test_inspect_entry_without_endpoint_exits_2(residual_model, tmp_path,
     assert str(bad) in err and f"missing field {key!r}" in err
 
 
+_DROP = object()
+
+
+def _set(doc, path, value):
+    """Set (or, for _DROP, delete) the value at a path of keys/indices."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    if value is _DROP:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("components", 0), "conv1", "component 0"),
+    (("components", 0, "attrs"), [3], "'attrs'"),
+    (("edges",), {"src": "conv1"}, "'edges'"),
+    (("tensors", "conv1.weight", "shape"), _DROP, "'shape'"),
+    (("edges", 0, "src_port"), "0", "'src_port'"),
+    (("edges", 0, "dst_port"), True, "'dst_port'"),
+    (("tensors", "conv1.weight", "offset"), -4, "'offset'"),
+    (("components", 0, "params"), {"weight": 7}, "'params'"),
+], ids=["component-not-object", "attrs-not-object", "edges-not-list",
+        "tensor-without-shape", "port-str", "port-bool", "negative-offset",
+        "tensor-name-not-str"])
+def test_inspect_malformed_field_exits_2(residual_model, tmp_path, capsys,
+                                         path, value, field):
+    doc = json.loads(residual_model.read_text())
+    _set(doc, path, value)
+    bad = tmp_path / "broken.json"   # its weights_file is still model.bin
+    bad.write_text(json.dumps(doc))
+    rc = main(["inspect", "--model", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and field in err
+
+
+def _conv1_attrs(doc):
+    return next(c for c in doc["components"] if c["id"] == "conv1")["attrs"]
+
+
+@pytest.mark.parametrize("command", ["inspect", "prune"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: _conv1_attrs(doc).update(stride=2), "operand shapes differ"),
+    (lambda doc: doc.update(input_shape=[1, 8]), "input_shape must be"),
+    (lambda doc: doc.update(input_shape=[1]), "conv2d expects a rank-3 input"),
+], ids=["stride-2", "rank-2-input", "flat-input"])
+def test_shapes_that_do_not_fit_exit_3(residual_model, tmp_path, capsys,
+                                       command, mutate, message):
+    """validate() ends with shape inference, so a wiring whose tensor
+    shapes do not work out fails there, not later in the engine."""
+    doc = json.loads(residual_model.read_text())
+    mutate(doc)
+    bad = tmp_path / "misfit.json"   # its weights_file is still model.bin
+    bad.write_text(json.dumps(doc))
+    extra = ["--ratio", "0.5"] if command == "prune" else []
+    rc = main([command, "--model", str(bad), "--out", str(tmp_path / "o")]
+              + extra)
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["explode"]) == 2
 
@@ -205,6 +269,17 @@ def test_train_unknown_dataset_exits_2(tmp_path):
     rc = main(["train", "--model", str(model), "--data", "imagenet",
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("model, data", [("residual_cnn", "spiral"),
+                                         ("spiral_mlp", "shapes")])
+def test_train_on_data_that_does_not_fit_exits_2(model, data, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_model(zoo.BUNDLED[model](), path)
+    rc = main(["train", "--model", str(path), "--data", data,
+               "--out", str(tmp_path / "o"), "--epochs", "1"])
+    assert rc == 2
+    assert "does not match declared" in capsys.readouterr().err
 
 
 def test_ablate_unknown_strategy_exits_2(tmp_path):

@@ -94,8 +94,12 @@ def test_forward_rejects_bad_shape_and_nonfinite():
 
 
 def test_shape_error_names_component():
-    comps = [conv2d("convzilla", 2, 4, kernel=3, padding=0)]
-    ir = _net(comps, [], (2, 2, 2), [("convzilla", 0)])
+    # a kernel larger than the padded input: validate() rejects it, so
+    # the IR is built without check_valid() to reach the kernel's check
+    ir = NetworkIR([conv2d("convzilla", 2, 4, kernel=3, padding=0)], [],
+                   (2, 2, 2), [("convzilla", 0)])
+    init_weights(ir, np.random.default_rng(0))
+    assert any("convzilla" in v for v in ir.validate())
     with pytest.raises(ShapeError, match="convzilla"):
         engine.forward(ir, np.zeros((1, 2, 2, 2), dtype=np.float32))
 

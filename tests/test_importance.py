@@ -182,7 +182,7 @@ def test_default_topn_is_half_rounded_up():
     assert default_topn(1) == 1
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=32),
        st.data())
 def test_relative_score_topn_mass_sums_to_n(values, data):
@@ -196,7 +196,7 @@ def test_relative_score_topn_mass_sums_to_n(values, data):
         assert float(scores[order[:n]].sum()) == pytest.approx(n, rel=1e-9)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.floats(0.1, 100), st.integers(0, 10 ** 6))
 def test_scale_covariance(c, seed):
     ir = zoo.two_layer_mlp(seed=seed % 17)

@@ -43,7 +43,7 @@ def test_gamma_degenerate_uniform_one():
     assert np.isfinite(g).all()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.floats(0, 1e9, allow_nan=False), min_size=1, max_size=40),
        st.floats(0, 8))
 def test_gamma_bounds(values, alpha):
