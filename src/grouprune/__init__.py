@@ -8,8 +8,9 @@ index transforms (grouping), group-level importance and sparse training
 
 from .dependency import DependencyGraph, build_depgraph, export_depgraph
 from .engine import backward, count_macs, forward, softmax_cross_entropy
-from .errors import (GroupingError, GroupruneError, ModelParseError,
-                     PruneError, ShapeError, TrainingDiverged, ValidationError)
+from .errors import (ConfigError, GroupingError, GroupruneError,
+                     ModelParseError, PruneError, ShapeError,
+                     TrainingDiverged, ValidationError)
 from .grouping import (Group, GroupingMatrix, IndexTransform,
                        derive_grouping_matrix, export_grouping, extract_groups)
 from .importance import (GroupImportance, group_l2_importance, relative_score,
@@ -23,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DependencyGraph", "build_depgraph", "export_depgraph",
     "backward", "count_macs", "forward", "softmax_cross_entropy",
-    "GroupingError", "GroupruneError", "ModelParseError", "PruneError",
-    "ShapeError", "TrainingDiverged", "ValidationError",
+    "ConfigError", "GroupingError", "GroupruneError", "ModelParseError",
+    "PruneError", "ShapeError", "TrainingDiverged", "ValidationError",
     "Group", "GroupingMatrix", "IndexTransform", "derive_grouping_matrix",
     "export_grouping", "extract_groups",
     "GroupImportance", "group_l2_importance", "relative_score",

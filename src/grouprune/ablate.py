@@ -15,6 +15,7 @@ import numpy as np
 from . import engine, zoo
 from .data import shapes, spiral, train_test_split
 from .dependency import build_depgraph
+from .errors import ConfigError
 from .grouping import extract_groups
 from .pruning import build_learned_plan, build_uniform_plan, prune, speedup
 from .sparse import SparseConfig, train_sparse
@@ -38,7 +39,7 @@ def make_model(dataset: str, seed: int):
         return zoo.residual_cnn(seed=seed)
     if dataset == "spiral":
         return zoo.spiral_mlp(seed=seed)
-    raise ValueError(f"unknown dataset {dataset!r}")
+    raise ConfigError(f"unknown dataset {dataset!r}")
 
 
 def make_data(dataset: str, seed: int):
@@ -47,7 +48,7 @@ def make_data(dataset: str, seed: int):
     elif dataset == "spiral":
         x, y = spiral(n_per_class=320, seed=seed)
     else:
-        raise ValueError(f"unknown dataset {dataset!r}")
+        raise ConfigError(f"unknown dataset {dataset!r}")
     return train_test_split(x, y, test_fraction=0.25, seed=seed)
 
 
@@ -80,7 +81,7 @@ def run_cell(dataset: str, strategy: str, target_speedup: float, mode: str,
     training changes weights only, so the groups extracted up front serve
     planning and pruning too."""
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ConfigError(f"unknown strategy {strategy!r}")
     (x_tr, y_tr), (x_te, y_te) = make_data(dataset, seed)
     ir = make_model(dataset, seed)
     groups = extract_groups(build_depgraph(ir))

@@ -1,8 +1,10 @@
 """Command-line interface: inspect, train, prune, ablate.
 
-Exit codes by failure category: 2 for parse/config problems, among them
-a dataset whose samples do not fit the model (ShapeError), 3 for IR
-validation failures, 4 for I/O. One seed drives every stochastic choice.
+Exit codes by failure category: 2 for parse/config problems (ModelParseError,
+ConfigError, and a dataset whose samples do not fit the model:
+ShapeError), 3 for IR validation failures, 4 for I/O. Any other
+exception is a bug and ends in a traceback. One seed drives every
+stochastic choice.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from . import engine
 from .ablate import STRATEGIES, make_data, run_ablation
 from .data import DATASETS
 from .dependency import build_depgraph, export_depgraph
-from .errors import (GroupingError, ModelParseError, PruneError, ShapeError,
-                     TrainingDiverged, ValidationError)
+from .errors import (ConfigError, GroupingError, ModelParseError, PruneError,
+                     ShapeError, TrainingDiverged, ValidationError)
 from .grouping import derive_grouping_matrix, export_grouping, extract_groups, group_report
 from .ir import load_model, save_model
 from .pruning import end_to_end_prune, format_speedup_line
@@ -63,7 +65,7 @@ def cmd_inspect(args) -> int:
 def cmd_train(args) -> int:
     ir = load_model(args.model)
     if args.data not in DATASETS:
-        raise ValueError(f"unknown dataset {args.data!r}")
+        raise ConfigError(f"unknown dataset {args.data!r}")
     if args.config:
         cfg = SparseConfig.from_json(args.config)
     else:
@@ -113,17 +115,30 @@ def cmd_prune(args) -> int:
     return 0
 
 
+def _comma_list(option: str, text: str, convert, ok) -> list:
+    """The items of a comma-list option, converted; ConfigError names the
+    option and the first item that does not convert or fails ok."""
+    items = []
+    for item in text.split(","):
+        try:
+            value = convert(item)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ConfigError(f"--{option}: bad item {item!r}")
+        items.append(value)
+    return items
+
+
 def cmd_ablate(args) -> int:
-    strategies = args.strategies.split(",")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
-    speedups = [float(r) for r in args.speedups.split(",")]
-    modes = args.modes.split(",")
-    for m in modes:
-        if m not in ("uniform", "learned"):
-            raise ValueError(f"unknown mode {m!r}")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    strategies = _comma_list("strategies", args.strategies, str,
+                             lambda s: s in STRATEGIES)
+    # a target below 1x asks for a larger network than the one trained
+    speedups = _comma_list("speedups", args.speedups, float,
+                           lambda t: 1 <= t < float("inf"))
+    modes = _comma_list("modes", args.modes, str,
+                        lambda m: m in ("uniform", "learned"))
+    seeds = _comma_list("seeds", args.seeds, int, lambda s: s >= 0)
     cfg = SparseConfig(epochs=args.epochs, reg_weight=args.reg_weight
                        if args.reg_weight is not None else 5e-3,
                        alpha=args.alpha if args.alpha is not None else 4.0)
@@ -203,7 +218,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ModelParseError, ShapeError, ValueError) as exc:
+    except (ModelParseError, ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValidationError, GroupingError, PruneError,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import ir as _ir
 from .errors import GroupruneError
-from .reporting import write_csv
+from .reporting import write_binary_matrix
 
 INTER = "inter"
 INTRA = "intra"
@@ -111,7 +111,4 @@ def export_depgraph(d: DependencyGraph, path) -> None:
     half-node legend (component:side)."""
     if d.order == 0:
         raise GroupruneError("no components: nothing to export")
-    m = d.dense()
-    header = ["half"] + [h.node_id for h in d.halves]
-    rows = [[h.node_id] + m[i].tolist() for i, h in enumerate(d.halves)]
-    write_csv(path, header, rows)
+    write_binary_matrix(path, "half", [h.node_id for h in d.halves], d.dense())

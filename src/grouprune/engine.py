@@ -511,11 +511,21 @@ def trainable_param_names(ir) -> list[str]:
 
 
 def sgd_step(ir, grads, state, lr: float, momentum: float = 0.9) -> None:
-    """In-place SGD with momentum on the IR's weight store."""
+    """SGD with momentum, in place on the IR's weight arrays and on the
+    momentum buffers in state.
+
+    A caller that keeps a weight array across a step sees it change, so
+    snapshot with .copy(). A weight that is not a writable float32 array
+    is replaced by a new float32 array holding the same update.
+    """
     for name, g in grads.items():
         v = state.get(name)
         if v is None:
-            v = np.zeros_like(g)
-        v = momentum * v + g
-        state[name] = v
-        ir.weights[name] = (ir.weights[name] - lr * v).astype(np.float32)
+            v = state[name] = np.zeros_like(g)
+        v *= momentum
+        v += g
+        w = ir.weights[name]
+        if w.dtype == np.float32 and w.flags.writeable:
+            w -= lr * v
+        else:
+            ir.weights[name] = (w - lr * v).astype(np.float32)

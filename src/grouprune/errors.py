@@ -13,6 +13,13 @@ class ModelParseError(GroupruneError):
     """Model descriptor is malformed (bad JSON, missing field, bad kind)."""
 
 
+class ConfigError(GroupruneError, ValueError):
+    """A run setting is unusable: an unknown dataset, strategy or mode, a
+    config file field of the wrong name, type or range, or a prune ratio
+    outside [0, 1). Also a ValueError, which these checks raised before
+    the class existed."""
+
+
 class ValidationError(GroupruneError):
     """A NetworkIR violates a structural invariant."""
 

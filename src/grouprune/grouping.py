@@ -37,7 +37,7 @@ import numpy as np
 from . import ir as _ir
 from .dependency import DependencyGraph
 from .errors import GroupingError, GroupruneError
-from .reporting import write_csv
+from .reporting import write_binary_matrix
 
 
 @dataclass(frozen=True)
@@ -325,10 +325,7 @@ def derive_grouping_matrix(d: DependencyGraph) -> GroupingMatrix:
 def export_grouping(g: GroupingMatrix, path) -> None:
     if not g.component_ids:
         raise GroupruneError("no components: nothing to export")
-    header = ["component"] + g.component_ids
-    rows = [[cid] + g.matrix[i].tolist()
-            for i, cid in enumerate(g.component_ids)]
-    write_csv(path, header, rows)
+    write_binary_matrix(path, "component", g.component_ids, g.matrix)
 
 
 def group_report(groups: list[Group]) -> str:

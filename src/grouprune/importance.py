@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass
 class GroupImportance:
@@ -71,7 +73,7 @@ def relative_score(imp: GroupImportance, n: int) -> np.ndarray:
     values = imp.values
     k = len(values)
     if not (1 <= n <= k):
-        raise ValueError(f"n must be in [1, {k}], got {n}")
+        raise ConfigError(f"topn must be in [1, {k}], got {n}")
     order = sorted(range(k), key=lambda i: (-values[i], i))
     top_mass = float(values[order[:n]].sum())
     if top_mass == 0.0:

@@ -693,9 +693,11 @@ def load_model(path) -> NetworkIR:
     import pathlib
 
     path = pathlib.Path(path)
-    text = path.read_text()   # OSError propagates: I/O, not a parse failure
+    raw = path.read_bytes()   # OSError propagates: I/O, not a parse failure
     try:
-        doc = json.loads(text)
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -741,8 +743,13 @@ def load_model(path) -> NetworkIR:
                   if "dst_port" in c else 0)
                  for i, c in enumerate(top["input_consumers"])]
 
-    blob_path = path.parent / top["weights_file"]
-    blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
+    if "\0" in top["weights_file"]:
+        raise ModelParseError(f"{path}: weights_file contains a NUL byte")
+    data = (path.parent / top["weights_file"]).read_bytes()
+    if len(data) % 4:
+        raise ModelParseError(f"{path}: weight blob size {len(data)} is not "
+                              f"a multiple of 4 bytes")
+    blob = np.frombuffer(data, dtype="<f4")
 
     weights = {}
     for name, meta in top["tensors"].items():

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import engine, ir as _ir
 from .dependency import build_depgraph
-from .errors import PruneError
+from .errors import ConfigError, PruneError
 from .grouping import Group, extract_groups
 from .importance import (PortGuard, default_topn, group_l2_importance,
                          relative_score, select_prune_indices)
@@ -390,7 +390,11 @@ def end_to_end_prune(ir, ratio: float, mode: str = "uniform",
     single global score threshold decides where the width goes.
     """
     if mode not in ("uniform", "learned"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ConfigError(f"unknown mode {mode!r}")
+    if not 0 <= ratio < 1:
+        raise ConfigError(f"ratio must be in [0, 1), got {ratio}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     d = build_depgraph(ir)
     groups = extract_groups(d)
     rng = np.random.default_rng(seed)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pathlib
 
+import numpy as np
+
 
 def format_value(x) -> str:
     if isinstance(x, float):
@@ -22,6 +24,26 @@ def write_csv(path, header, rows) -> None:
     for row in rows:
         lines.append(",".join(format_value(x) for x in row))
     pathlib.Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def write_binary_matrix(path, corner: str, labels, matrix) -> None:
+    """A labelled square 0/1 matrix as CSV: the bytes write_csv writes for
+    the header [corner] + labels and the rows [labels[i]] + matrix[i].
+
+    The cells are filled into one uint8 buffer of digits, commas and
+    newlines and decoded once, not formatted one value at a time.
+    """
+    m = np.asarray(matrix)
+    width = 2 * m.shape[1] + 1            # ",d" per cell, then "\n"
+    buf = np.empty((m.shape[0], width), dtype=np.uint8)
+    buf[:, 0:-1:2] = ord(",")
+    buf[:, 1::2] = m + ord("0")
+    buf[:, -1] = ord("\n")
+    cells = buf.tobytes().decode("ascii")
+    text = ",".join([corner, *labels]) + "\n" + "".join(
+        label + cells[i * width:(i + 1) * width]
+        for i, label in enumerate(labels))
+    pathlib.Path(path).write_text(text, newline="\n")
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

@@ -12,12 +12,13 @@ weights every refresh_period steps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import engine, ir as _ir
-from .errors import TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .grouping import (Group, GroupMember, IndexTransform, selection_block,
                        selection_units)
 from .importance import (GroupImportance, _scope_keep,
@@ -26,6 +27,17 @@ from .importance import (GroupImportance, _scope_keep,
 STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
 
 _SCOPE = {"full-grouping": "full", "conv-only": "conv", "no-grouping": "full"}
+
+
+_FIELD_KINDS = {"float": ((int, float), "a finite number"),
+                "int": (int, "an int"), "str": (str, "a string")}
+
+
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # an int too large for a float
+        return False
 
 
 @dataclass
@@ -41,17 +53,43 @@ class SparseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.reg_weight < 0:
-            raise ValueError("reg_weight must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds, want = _FIELD_KINDS[f.type]
+            if (not isinstance(value, kinds) or isinstance(value, bool)
+                    or (f.type == "float" and not _finite(value))):
+                raise ConfigError(f"{f.name} must be {want}, got {value!r:.60}")
+        for name, low in (("alpha", 0), ("reg_weight", 0), ("momentum", 0),
+                          ("seed", 0), ("epochs", 1), ("batch_size", 1),
+                          ("refresh_period", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
+        if not 0 < self.lr:
+            raise ConfigError("lr must be > 0")
+        if self.momentum > 1:
+            raise ConfigError("momentum must be <= 1")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}; "
+                              f"choose from {STRATEGIES}")
 
     @classmethod
     def from_json(cls, path) -> "SparseConfig":
+        """Read a config file: a JSON object whose keys are field names."""
         with open(path) as fh:
-            return cls(**json.load(fh))
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{path}: not a JSON config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: config must be a JSON object, "
+                              f"got {type(doc).__name__}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys {unknown}")
+        try:
+            return cls(**doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -98,6 +136,12 @@ def regularizer_grad(ir, groups, gammas: dict[str, GammaSchedule],
 
     The regularizer is reg_weight * sum_g sum_k gamma_k * I_{g,k}; its
     gradient on a slice w[k] is 2 * reg_weight * gamma_k * w[k].
+
+    Each slice's term is one float64 multiply rounded once to the tensor's
+    dtype, written straight into a buffer of that dtype: no float64 copy
+    of a tensor is made. The first slice of a tensor assigns its term as
+    the gradient (plus 0.0, so a -0.0 term reads +0.0 as it would after
+    adding into zeros) and later slices add into it.
     """
     grads: dict[str, np.ndarray] = {}
     if reg_weight == 0:
@@ -106,8 +150,14 @@ def regularizer_grad(ir, groups, gammas: dict[str, GammaSchedule],
         w = ir.weights[name]
         shape = [1] * w.ndim
         shape[axis] = -1
-        g = grads.setdefault(name, np.zeros_like(w))
-        g += (2.0 * reg_weight * coeff.reshape(shape) * w).astype(w.dtype)
+        term = np.multiply((2.0 * reg_weight * coeff).reshape(shape), w,
+                           dtype=np.float64, out=np.empty_like(w),
+                           casting="same_kind")
+        if name in grads:
+            grads[name] += term
+        else:
+            term += 0.0
+            grads[name] = term
     return grads
 
 

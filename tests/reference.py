@@ -18,6 +18,9 @@ through transform_locals, the literal definition of an index transform:
 importance as a sum over a set of (tensor, axis, local index) slices, and
 the regularizer gradient as a per-index coefficient loop. They share no
 code with IndexTransform.canonical or Group.slices.
+
+reference_sgd_step is the momentum step written out of place, one new
+array per momentum buffer and per weight.
 """
 
 from __future__ import annotations
@@ -551,3 +554,12 @@ def reference_regularizer_grad(ir, groups, gammas, reg_weight: float,
                 g_mv += (2.0 * reg_weight * coeff.reshape(shape)
                          * w_mv).astype(w.dtype)
     return grads
+
+
+def reference_sgd_step(ir, grads, state, lr: float, momentum: float) -> None:
+    """v <- momentum * v + g and w <- float32(w - lr * v), building new
+    arrays; v starts from zeros."""
+    for name, g in grads.items():
+        v = momentum * state.get(name, np.zeros_like(g)) + g
+        state[name] = v
+        ir.weights[name] = (ir.weights[name] - lr * v).astype(np.float32)

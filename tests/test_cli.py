@@ -132,6 +132,26 @@ def test_inspect_malformed_field_exits_2(residual_model, tmp_path, capsys,
     assert str(bad) in err and field in err
 
 
+@pytest.mark.parametrize("write, message", [
+    (lambda model, bad: bad.write_bytes(b'{"format": "\xff"}'), "not UTF-8"),
+    (lambda model, bad: (bad.write_text(model.read_text()),
+                         (bad.parent / "model.bin").write_bytes(b"\0" * 5)),
+     "not a multiple of 4"),
+    (lambda model, bad: bad.write_text(json.dumps(
+        dict(json.loads(model.read_text()), weights_file="a\0b"))),
+     "NUL byte"),
+], ids=["not-utf8", "blob-size", "nul-in-weights-file"])
+def test_inspect_unreadable_descriptor_exits_2(residual_model, tmp_path,
+                                               capsys, write, message):
+    bad = tmp_path / "broken.json"
+    write(residual_model, bad)
+    rc = main(["inspect", "--model", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def _conv1_attrs(doc):
     return next(c for c in doc["components"] if c["id"] == "conv1")["attrs"]
 
@@ -263,6 +283,47 @@ def test_train_bad_config_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("config, extra, message", [
+    ({"bogus": 1}, [], "unknown config keys ['bogus']"),
+    ({"alpha": "x"}, [], "alpha must be a finite number"),
+    ([1, 2], [], "config must be a JSON object"),
+    ({"batch_size": 0}, [], "batch_size must be >= 1"),
+    ({"lr": 0}, [], "lr must be > 0"),
+    ({}, ["--epochs", "0"], "epochs must be >= 1"),
+    ({}, ["--lr", "nan"], "lr must be a finite number"),
+    ({}, ["--seed", "-1"], "seed must be >= 0"),
+], ids=["unknown-key", "alpha-str", "top-level-list", "batch-size-0",
+        "lr-0", "epochs-0", "lr-nan", "seed-negative"])
+def test_train_bad_config_field_exits_2(tmp_path, capsys, config, extra,
+                                        message):
+    model = tmp_path / "model.json"
+    save_model(zoo.spiral_mlp(), model)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["train", "--model", str(model), "--data", "spiral",
+               "--out", str(tmp_path / "o"), "--config", str(cfg)] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--ratio", "1.0"], "ratio must be in [0, 1)"),
+    (["--ratio", "-0.1"], "ratio must be in [0, 1)"),
+    (["--ratio", "0.5", "--seed", "-1"], "seed must be >= 0"),
+    (["--ratio", "0.5", "--topn", "1000"], "topn must be in"),
+], ids=["ratio-1", "ratio-negative", "seed-negative", "topn-too-wide"])
+def test_prune_bad_setting_exits_2(residual_model, tmp_path, capsys, extra,
+                                   message):
+    rc = main(["prune", "--model", str(residual_model),
+               "--out", str(tmp_path / "o")] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_train_unknown_dataset_exits_2(tmp_path):
     model = tmp_path / "model.json"
     save_model(zoo.spiral_mlp(), model)
@@ -286,6 +347,23 @@ def test_ablate_unknown_strategy_exits_2(tmp_path):
     rc = main(["ablate", "--out", str(tmp_path / "o"),
                "--strategies", "psychic", "--seeds", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--speedups", "abc"], "--speedups: bad item 'abc'"),
+    (["--speedups", "0.5"], "--speedups: bad item '0.5'"),
+    (["--modes", "greedy"], "--modes: bad item 'greedy'"),
+    (["--seeds", "-1"], "--seeds: bad item '-1'"),
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--data", "imagenet"], "unknown dataset 'imagenet'"),
+], ids=["speedup-not-number", "speedup-below-1", "unknown-mode",
+        "seed-negative", "epochs-0", "unknown-dataset"])
+def test_ablate_bad_setting_exits_2(tmp_path, capsys, extra, message):
+    rc = main(["ablate", "--data", "spiral", "--out", str(tmp_path / "o"),
+               "--seeds", "0", "--epochs", "1"] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_ablate_single_cell(tmp_path):

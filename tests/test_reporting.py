@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from grouprune.reporting import (emit_sparsity_histogram, emit_table,
                                  emit_trace, format_value, histogram,
-                                 read_csv, write_csv)
+                                 read_csv, write_binary_matrix, write_csv)
 
 
 def test_csv_round_trip(tmp_path):
@@ -96,3 +97,13 @@ def test_table_grid_shape(tmp_path):
     header, rows = read_csv(tmp_path / "t.csv")
     assert len(rows) == 3
     assert len(header) == 5
+
+
+def test_binary_matrix_matches_write_csv(tmp_path):
+    m = np.random.default_rng(0).integers(0, 2, size=(7, 7), dtype=np.int8)
+    labels = [f"c{i}:out" for i in range(7)]
+    write_binary_matrix(tmp_path / "fast.csv", "half", labels, m)
+    write_csv(tmp_path / "slow.csv", ["half"] + labels,
+              [[label] + m[i].tolist() for i, label in enumerate(labels)])
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "slow.csv").read_bytes()

@@ -16,7 +16,8 @@ from grouprune.sparse import (SparseConfig, compute_gamma, layer_pseudo_groups,
                               sparsity_groups, train_sparse)
 
 from conftest import oracle_models
-from reference import fd_scalar, grad_rel_err, reference_regularizer_grad
+from reference import (fd_scalar, grad_rel_err, reference_regularizer_grad,
+                       reference_sgd_step)
 
 
 def _imp(values):
@@ -130,6 +131,22 @@ def test_regularizer_grad_matches_index_loop_oracle():
                     (name, strategy, tensor)
 
 
+def test_regularizer_grad_signed_zeros_match_oracle():
+    # a -0.0 weight, or a tiny negative one whose term rounds to -0.0,
+    # gets a +0.0 gradient, as adding its term into zeros gives
+    ir = zoo.residual_cnn(seed=1)
+    for w in ir.weights.values():
+        w.flat[:2] = (-0.0, -1e-45)
+    groups = extract_groups(build_depgraph(ir))
+    for strategy in ("full-grouping", "no-grouping"):
+        reg_groups, scope = sparsity_groups(ir, groups, strategy)
+        gammas = refresh_gamma(ir, reg_groups, scope, 4.0)
+        got = regularizer_grad(ir, reg_groups, gammas, 1e-4, scope)
+        want = reference_regularizer_grad(ir, reg_groups, gammas, 1e-4, scope)
+        for tensor in want:
+            assert got[tensor].tobytes() == want[tensor].tobytes(), tensor
+
+
 # -- training loop ------------------------------------------------------------
 
 
@@ -163,6 +180,76 @@ def test_lambda_zero_reduces_to_plain_training():
     for name in trained.weights:
         np.testing.assert_array_equal(trained.weights[name],
                                       baseline.weights[name])
+
+
+def _reference_train(ir, dataset, cfg, groups):
+    """train_sparse's loop rebuilt from the reference regularizer gradient
+    and the out-of-place momentum step."""
+    x_all, y_all = dataset
+    rng = np.random.default_rng(cfg.seed)
+    reg_groups, scope = sparsity_groups(ir, groups, cfg.strategy)
+    gammas = refresh_gamma(ir, reg_groups, scope, cfg.alpha)
+    state = {}
+    step = 0
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(len(x_all))
+        for lo in range(0, len(x_all), cfg.batch_size):
+            idx = order[lo:lo + cfg.batch_size]
+            logits, tape = engine.forward(ir, x_all[idx], mode="train")
+            _loss, dl = engine.softmax_cross_entropy(logits, y_all[idx])
+            grads = engine.backward(tape, dl)
+            reg = reference_regularizer_grad(ir, reg_groups, gammas,
+                                             cfg.reg_weight, scope)
+            for name, g in reg.items():
+                grads[name] = grads[name] + g if name in grads else g
+            reference_sgd_step(ir, grads, state, cfg.lr, cfg.momentum)
+            step += 1
+            if step % cfg.refresh_period == 0:
+                gammas = refresh_gamma(ir, reg_groups, scope, cfg.alpha)
+    return ir
+
+
+@pytest.mark.parametrize("strategy", ["full-grouping", "conv-only",
+                                      "no-grouping"])
+@pytest.mark.parametrize("model", ["spiral_mlp", "residual_cnn"])
+def test_training_loop_matches_reference_bytes(model, strategy):
+    if model == "spiral_mlp":
+        (xtr, ytr), _ = _tiny_task()
+    else:
+        (xtr, ytr), _ = train_test_split(*shapes(n=64, seed=4), seed=4)
+    ir = zoo.BUNDLED[model](seed=4)
+    want = ir.copy()
+    groups = extract_groups(build_depgraph(ir))
+    cfg = SparseConfig(epochs=2, reg_weight=5e-2, lr=0.05, batch_size=16,
+                       refresh_period=3, strategy=strategy, seed=4)
+    train_sparse(ir, (xtr, ytr), cfg, groups)
+    _reference_train(want, (xtr, ytr), cfg, groups)
+    assert sorted(ir.weights) == sorted(want.weights)
+    for name, w in want.weights.items():
+        assert ir.weights[name].dtype == w.dtype == np.float32
+        assert ir.weights[name].tobytes() == w.tobytes(), name
+
+
+def test_sgd_step_updates_in_place_and_keeps_float32():
+    ir = zoo.spiral_mlp(seed=1)
+    names = sorted(ir.weights)
+    wide, frozen = names[0], names[1]
+    ir.weights[wide] = ir.weights[wide].astype(np.float64)
+    ir.weights[frozen].flags.writeable = False
+    want = ir.copy()
+    rng = np.random.default_rng(0)
+    state, want_state = {}, {}
+    kept = {n: ir.weights[n] for n in names[2:]}
+    for _step in range(3):
+        grads = {n: rng.standard_normal(w.shape).astype(np.float32)
+                 for n, w in ir.weights.items()}
+        engine.sgd_step(ir, grads, state, lr=0.1, momentum=0.9)
+        reference_sgd_step(want, grads, want_state, lr=0.1, momentum=0.9)
+    for name in names:
+        assert ir.weights[name].dtype == np.float32
+        assert ir.weights[name].tobytes() == want.weights[name].tobytes()
+    for name, arr in kept.items():   # writable float32 arrays update in place
+        assert ir.weights[name] is arr
 
 
 def test_training_records_trace_per_epoch():
