@@ -2,8 +2,12 @@
 gradients, and MAC counting.
 
 Everything is float32 numpy, NCHW layout for image-domain tensors and
-(N, F) after flatten. Convolutions go through im2col; performance target
-is desk scale, seconds not throughput.
+(N, F) after flatten. A convolution is three batched matmuls over the
+(N, G, C/G*k*k, OH*OW) patch array that _im2col builds: the output is
+weight @ patches, the patch gradient is weight^T @ output gradient
+(gathered back into the input by _col2im), and the weight gradient is
+output gradient @ patches^T summed over the batch. One code path serves
+every kernel, stride, padding and group count.
 
 Values are keyed per output port, (component id, port), and each input
 port reads the one value that `NetworkIR.feed` names. A kernel maps its
@@ -144,24 +148,43 @@ def _conv_geometry(comp, x):
 
 
 def _im2col(x, k, s, p, oh, ow):
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    n, c = x.shape[:2]
+    """Patches of x as an (N, C, k, k, OH, OW) array: cols[n, c, i, j, a, b]
+    is the zero-padded input at row i + s*a, column j + s*b. Viewed as
+    (N, G, C/G*k*k, OH*OW) it is the right operand of the forward matmul,
+    w (G, OC/G, C/G*k*k) @ cols, and, transposed, of the weight gradient's,
+    dout @ cols^T summed over N.
+
+    Two passes over a zero-filled padded copy of x: k column-shift copies
+    fill an (N, C, k, H+2p, OW) row buffer, then k row-shift copies fill
+    cols, so each copy runs over whole rows (over OH*OW at stride 1), not
+    k*k copies over OW alone.
+    """
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
+    xp[:, :, p:p + h, p:p + w] = x
+    rows = np.empty((n, c, k, h + 2 * p, ow), dtype=np.float32)
+    for j in range(k):
+        rows[:, :, j] = xp[:, :, :, j:j + s * ow:s]
     cols = np.empty((n, c, k, k, oh, ow), dtype=np.float32)
     for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+        cols[:, :, i] = rows[:, :, :, i:i + s * oh:s]
     return cols
 
 
 def _col2im(dcols, x_shape, k, s, p, oh, ow):
+    """Gradient of x from the gradient of its patches, the reverse of
+    _im2col. dcols has _im2col's (N, C, k, k, OH, OW) layout and is the
+    backward matmul w^T @ dout. k row-shift adds gather it into an
+    (N, C, k, H+2p, OW) row buffer, k column-shift adds gather that into
+    the zero-filled padded input, and the padding is cut off."""
     n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
+    drows = np.zeros((n, c, k, h + 2 * p, ow), dtype=np.float32)
     for i in range(k):
-        for j in range(k):
-            dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, :, i, j]
-    if p:
-        return dxp[:, :, p:-p, p:-p]
-    return dxp
+        drows[:, :, :, i:i + s * oh:s] += dcols[:, :, i]
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
+    for j in range(k):
+        dxp[:, :, :, j:j + s * ow:s] += drows[:, :, j]
+    return dxp[:, :, p:p + h, p:p + w]
 
 
 def _fwd_conv2d(comp, ins, weights, mode):
@@ -176,8 +199,7 @@ def _fwd_conv2d(comp, ins, weights, mode):
     cols = _im2col(x, k, s, p, oh, ow)                      # (N,C,k,k,OH,OW)
     cols_g = cols.reshape(n, g, cg * k * k, oh * ow)
     w = weights[comp.params["weight"]].reshape(g, ocg, cg * k * k)
-    out = np.einsum("gok,ngkl->ngol", w, cols_g, optimize=True)
-    out = out.reshape(n, a["out_channels"], oh, ow)
+    out = np.matmul(w, cols_g).reshape(n, a["out_channels"], oh, ow)
     if "bias" in comp.params:
         out = out + weights[comp.params["bias"]].reshape(1, -1, 1, 1)
     return [out], {"cols_g": cols_g, "x_shape": x.shape, "geom": (k, s, p, oh, ow)}
@@ -192,13 +214,13 @@ def _bwd_conv2d(comp, ctx, weights, dout):
     dout_g = dout.reshape(n, g, ocg, oh * ow)
     cols_g = ctx["cols_g"]
     w = weights[comp.params["weight"]].reshape(g, ocg, cg * k * k)
-    dw = np.einsum("ngol,ngkl->gok", dout_g, cols_g, optimize=True)
+    dw = np.matmul(dout_g, cols_g.swapaxes(-1, -2)).sum(axis=0)
     dparams = {"weight": dw.reshape(a["out_channels"], cg, k, k)}
     if "bias" in comp.params:
         dparams["bias"] = dout.sum(axis=(0, 2, 3))
-    dcols_g = np.einsum("gok,ngol->ngkl", w, dout_g, optimize=True)
-    dcols = dcols_g.reshape(n, a["in_channels"], k, k, oh, ow)
-    dx = _col2im(dcols, ctx["x_shape"], k, s, p, oh, ow)
+    dcols = np.matmul(w.swapaxes(-1, -2), dout_g)
+    dx = _col2im(dcols.reshape(n, a["in_channels"], k, k, oh, ow),
+                 ctx["x_shape"], k, s, p, oh, ow)
     return [dx], dparams
 
 

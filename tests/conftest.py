@@ -49,7 +49,7 @@ def oracle_models():
     """(name, IR) for the 8 bundled models and random_ir seeds 0-29: the
     models every loop-based oracle is compared on."""
     from grouprune import zoo
-    from grouprune.random_nets import random_ir
+    from random_nets import random_ir
 
     for name, build in sorted(zoo.BUNDLED.items()):
         yield name, build(seed=11)
@@ -59,7 +59,7 @@ def oracle_models():
 
 def tiny_smooth_net(seed, max_components=10):
     """Small everywhere-differentiable random net for gradient checks."""
-    from grouprune.random_nets import random_ir
+    from random_nets import random_ir
 
     return random_ir(seed, max_components=max_components, smooth=True,
                      max_channels=5, spatial_choices=(4,))

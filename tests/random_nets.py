@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import (NetworkIR, activation, batchnorm, concat, conv2d, eltwise,
-                 flatten, init_weights, linear, pool, split)
+from grouprune.ir import (NetworkIR, activation, batchnorm, concat, conv2d, eltwise,
+                          flatten, init_weights, linear, pool, split)
 
 
 @dataclass

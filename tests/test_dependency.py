@@ -8,7 +8,7 @@ from grouprune import ir as _ir, zoo
 from grouprune.dependency import INTER, INTRA, build_depgraph, export_depgraph
 from grouprune.errors import GroupruneError
 from grouprune.ir import NetworkIR, batchnorm, conv2d, init_weights, linear
-from grouprune.random_nets import random_ir
+from random_nets import random_ir
 from grouprune.reporting import read_csv
 
 from reference import boolean_closure

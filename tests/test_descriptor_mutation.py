@@ -3,7 +3,11 @@
 Each example takes a saved descriptor (a bundled model or a random IR),
 applies one mutation, and runs `prune` on it. The CLI must answer with an
 exit code (0, or 2/3/4 for parse, validation and I/O faults). When it
-says 0, the pruned model must reload, run forward and count its MACs.
+says 0, the pruned model must reload, run forward, count its MACs and
+take one training step: a train-mode forward and a backward whose
+gradients have their weights' shapes and are finite. Perturbed kernel,
+stride and padding ints reach the conv kernels with geometry no bundled
+model has.
 """
 
 import contextlib
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 from grouprune import engine, zoo
 from grouprune.cli import main
 from grouprune.ir import load_model, save_model
-from grouprune.random_nets import random_ir
+from random_nets import random_ir
 
 MODELS = sorted(zoo.BUNDLED) + [f"random_ir{s}" for s in range(8)]
 MUTATIONS = ("drop", "retype", "perturb", "swap-endpoint", "port")
@@ -112,3 +116,7 @@ def test_mutated_descriptor_prunes_or_exits_with_a_code(saved, data):
     x = np.random.default_rng(0).normal(size=(2,) + pruned.input_shape)
     assert engine.forward(pruned, x).shape[0] == 2
     assert engine.count_macs(pruned) >= 0
+    y, tape = engine.forward(pruned, x, mode="train")
+    for name, g in engine.backward(tape, np.ones_like(y)).items():
+        assert g.shape == pruned.weights[name].shape, name
+        assert np.isfinite(g).all(), name

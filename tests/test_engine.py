@@ -5,7 +5,7 @@ from grouprune import engine, zoo
 from grouprune.errors import ShapeError
 from grouprune.ir import (NetworkIR, activation, batchnorm, conv2d, eltwise,
                           init_weights, linear)
-from grouprune.random_nets import random_ir
+from random_nets import random_ir
 
 from reference import (fd_param_grads, grad_rel_err, ref_forward, rel_err,
                        scalar_forward)
@@ -184,6 +184,55 @@ def test_per_op_gradients_against_finite_differences():
              ("m", 0, "c3", 0), ("c3", 0, "fl", 0), ("fl", 0, "fc", 0)]
     ir = _net(comps, edges, (2, 4, 4), [("c1", 0), ("c2", 0)])
     check(ir, rng.normal(size=(3, 2, 4, 4)).astype(np.float32))
+
+
+# (kernel, stride, padding, groups) of two stacked 4 -> 4 channel convs on
+# an h x w input; groups 4 is depthwise.
+# Every case has a stride > 1 or a padding other than kernel // 2, and
+# each starred one leaves (h + 2p - k) % s != 0 on some conv.
+CONV_GEOMETRIES = [
+    ((1, 1, 0, 1), (3, 2, 1, 2), 6, 5),     # *
+    ((1, 2, 0, 4), (1, 3, 2, 2), 6, 7),     # *
+    ((3, 2, 1, 1), (3, 3, 0, 4), 6, 7),     # *
+    ((3, 1, 2, 2), (5, 1, 0, 1), 4, 4),
+    ((3, 3, 1, 1), (3, 1, 0, 2), 9, 8),     # *
+    ((5, 2, 1, 1), (3, 1, 2, 4), 8, 8),     # *
+    ((5, 1, 2, 2), (5, 3, 2, 4), 5, 6),     # *
+    ((5, 3, 0, 1), (1, 2, 1, 1), 11, 12),   # *
+]
+
+
+@pytest.mark.parametrize("first, second, h, w", CONV_GEOMETRIES)
+def test_conv_geometry_matches_oracles(first, second, h, w):
+    from grouprune.ir import flatten as _fl
+
+    def conv(cid, c_in, c_out, geom):
+        k, s, p, g = geom
+        return conv2d(cid, c_in, c_out, kernel=k, stride=s, padding=p, groups=g)
+
+    def out_size(size, geom):
+        k, s, p, _g = geom
+        return (size + 2 * p - k) // s + 1
+
+    spatial = (out_size(out_size(h, first), second)
+               * out_size(out_size(w, first), second))
+    comps = [conv("c1", 4, 4, first), conv("c2", 4, 4, second),
+             _fl("fl", 4, spatial), linear("fc", 4 * spatial, 3)]
+    edges = [("c1", 0, "c2", 0), ("c2", 0, "fl", 0), ("fl", 0, "fc", 0)]
+    ir = _net(comps, edges, (4, h, w), [("c1", 0)], seed=h * w)
+    rng = np.random.default_rng(h + w)
+    x = rng.normal(size=(2, 4, h, w)).astype(np.float32)
+    assert rel_err(engine.forward(ir.copy(), x), scalar_forward(ir, x),
+                   floor=1e-3) < 1e-4
+    labels = rng.integers(0, 3, 2)
+    logits, tape = engine.forward(ir.copy(), x, mode="train")
+    _loss, dlogits = engine.softmax_cross_entropy(logits, labels)
+    grads = engine.backward(tape, dlogits)
+    fd = fd_param_grads(ir, x, labels)
+    assert sorted(grads) == sorted(fd)
+    for name, g in grads.items():
+        assert g.shape == ir.weights[name].shape, name
+        assert grad_rel_err(g, fd[name]) < 1e-3, name
 
 
 # -- batchnorm statistics ----------------------------------------------------

@@ -8,7 +8,7 @@ from grouprune.grouping import (IndexTransform, derive_grouping_matrix,
                                 export_grouping, extract_groups, group_report)
 from grouprune.ir import (NetworkIR, activation, conv2d, eltwise, init_weights,
                           linear, split)
-from grouprune.random_nets import random_ir
+from random_nets import random_ir
 from grouprune.reporting import read_csv
 
 from reference import (boolean_closure, closure_components, literal_expansion,

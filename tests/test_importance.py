@@ -126,7 +126,7 @@ from grouprune import zoo
 from grouprune.dependency import build_depgraph
 from grouprune.grouping import extract_groups
 from grouprune.importance import group_l2_importance
-from grouprune.random_nets import random_ir
+from random_nets import random_ir
 h = hashlib.sha256()
 for seed in range(20):
     for ir in (zoo.residual_cnn(seed=seed), random_ir(seed)):
@@ -138,10 +138,11 @@ print(h.hexdigest())
 
 def test_importance_independent_of_hash_seed():
     """String hashing changes per process; the sum must not follow it."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
     digests = []
     for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         out = subprocess.run([sys.executable, "-c", _DIGEST], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout.strip())

@@ -12,7 +12,7 @@ from grouprune.pruning import (PlanEntry, PrunePlan, boundary_roles,
                                build_learned_plan, build_uniform_plan,
                                end_to_end_prune, format_speedup_line,
                                min_keep_for, prunable_groups, prune, speedup)
-from grouprune.random_nets import random_ir
+from random_nets import random_ir
 
 from conftest import alternating_selection, oracle_models, zeroize_group
 from reference import reference_learned_plan, transform_locals
