@@ -61,7 +61,8 @@ def forward(ir, x, mode: str = "eval"):
         outs, ctx = _FORWARD[comp.kind](comp, ins, ir.weights, mode)
         for port, out in enumerate(outs):
             values[comp.comp_id, port] = out
-        records.append((comp, ctx))
+        if mode == "train":   # only backward reads a context
+            records.append((comp, ctx))
     out_id = ir.exit_component().comp_id
     y = values[out_id, 0]
     if mode == "train":

@@ -1,32 +1,21 @@
-"""Bundled toy models.
+"""Bundled models: the networks the ablation and the benchmark build.
 
-Small hand-wired networks covering the coupling patterns the analysis has
-to get right: plain chains, a residual block, concatenated branches, and
-depthwise/grouped convolutions. All fit in memory a thousand times over;
-they exist to be pruned, not to be accurate.
+A fully-connected chain (and the small one the spiral task trains) and a
+residual CNN. They exist to be pruned, not to be accurate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ir import (NetworkIR, activation, batchnorm, concat, conv2d, eltwise,
-                 flatten, init_weights, linear, pool, split)
+from .ir import (NetworkIR, activation, batchnorm, conv2d, eltwise, flatten,
+                 init_weights, linear, pool)
 
 
 def _finish(components, edges, input_shape, consumers, seed):
     ir = NetworkIR(components, edges, input_shape, consumers)
     init_weights(ir, np.random.default_rng(seed))
     return ir.check_valid()
-
-
-def two_layer_mlp(in_features: int = 16, hidden: int = 32,
-                  out_features: int = 10, seed: int = 0) -> NetworkIR:
-    """fc1 -> fc2; the middle group is {fc1 rows, fc2 columns}."""
-    comps = [linear("fc1", in_features, hidden),
-             linear("fc2", hidden, out_features)]
-    edges = [("fc1", 0, "fc2", 0)]
-    return _finish(comps, edges, (in_features,), [("fc1", 0)], seed)
 
 
 def mlp(sizes, seed: int = 0, act_fn: str = "relu") -> NetworkIR:
@@ -50,23 +39,6 @@ def mlp(sizes, seed: int = 0, act_fn: str = "relu") -> NetworkIR:
 
 def spiral_mlp(hidden: int = 32, seed: int = 0) -> NetworkIR:
     return mlp([2, hidden, hidden, 2], seed=seed)
-
-
-def fig_block(channels: int = 8, image: int = 8, seed: int = 0) -> NetworkIR:
-    """Standalone residual block: conv1 -> bn1 -> conv2 -> bn2, plus a
-    skip from the raw input into the add. Five components total."""
-    c = channels
-    comps = [
-        conv2d("conv1", c, c, kernel=3, padding=1),
-        batchnorm("bn1", c),
-        conv2d("conv2", c, c, kernel=3, padding=1),
-        batchnorm("bn2", c),
-        eltwise("add", c, "add"),
-    ]
-    edges = [("conv1", 0, "bn1", 0), ("bn1", 0, "conv2", 0),
-             ("conv2", 0, "bn2", 0), ("bn2", 0, "add", 0)]
-    consumers = [("conv1", 0), ("add", 1)]
-    return _finish(comps, edges, (c, image, image), consumers, seed)
 
 
 def residual_cnn(in_channels: int = 1, width: int = 16, classes: int = 4,
@@ -96,119 +68,3 @@ def residual_cnn(in_channels: int = 1, width: int = 16, classes: int = 4,
         ("pool", 0, "flat", 0), ("flat", 0, "head", 0),
     ]
     return _finish(comps, edges, (in_channels, image, image), [("stem", 0)], seed)
-
-
-def concat_cnn(in_channels: int = 1, width_a: int = 8, width_b: int = 8,
-               classes: int = 4, image: int = 8, seed: int = 0) -> NetworkIR:
-    """Two conv branches concatenated then consumed; the concat group
-    spans both producers at different offsets."""
-    total = width_a + width_b
-    comps = [
-        conv2d("stem", in_channels, 8, kernel=3, padding=1),
-        activation("act0", 8, "relu"),
-        conv2d("branch_a", 8, width_a, kernel=3, padding=1),
-        conv2d("branch_b", 8, width_b, kernel=3, padding=1),
-        concat("cat", [width_a, width_b]),
-        batchnorm("bn", total),
-        activation("act1", total, "relu"),
-        pool("pool", total, kernel=2, op="avg"),
-        flatten("flat", total, (image // 2) ** 2),
-        linear("head", total * (image // 2) ** 2, classes),
-    ]
-    edges = [
-        ("stem", 0, "act0", 0),
-        ("act0", 0, "branch_a", 0), ("act0", 0, "branch_b", 0),
-        ("branch_a", 0, "cat", 0), ("branch_b", 0, "cat", 1),
-        ("cat", 0, "bn", 0), ("bn", 0, "act1", 0),
-        ("act1", 0, "pool", 0), ("pool", 0, "flat", 0),
-        ("flat", 0, "head", 0),
-    ]
-    return _finish(comps, edges, (in_channels, image, image), [("stem", 0)], seed)
-
-
-def depthwise_cnn(in_channels: int = 1, width: int = 16, classes: int = 4,
-                  image: int = 8, seed: int = 0) -> NetworkIR:
-    """Stem, depthwise conv (groups == channels), pointwise conv, head.
-    The depthwise conv couples its own input and output channels."""
-    w = width
-    comps = [
-        conv2d("stem", in_channels, w, kernel=3, padding=1),
-        batchnorm("bn1", w),
-        activation("act1", w, "relu"),
-        conv2d("dw", w, w, kernel=3, padding=1, groups=w),
-        batchnorm("bn2", w),
-        activation("act2", w, "relu"),
-        conv2d("pw", w, 2 * w, kernel=1),
-        batchnorm("bn3", 2 * w),
-        activation("act3", 2 * w, "relu"),
-        pool("pool", 2 * w, kernel=2, op="avg"),
-        flatten("flat", 2 * w, (image // 2) ** 2),
-        linear("head", 2 * w * (image // 2) ** 2, classes),
-    ]
-    edges = [
-        ("stem", 0, "bn1", 0), ("bn1", 0, "act1", 0), ("act1", 0, "dw", 0),
-        ("dw", 0, "bn2", 0), ("bn2", 0, "act2", 0), ("act2", 0, "pw", 0),
-        ("pw", 0, "bn3", 0), ("bn3", 0, "act3", 0), ("act3", 0, "pool", 0),
-        ("pool", 0, "flat", 0), ("flat", 0, "head", 0),
-    ]
-    return _finish(comps, edges, (in_channels, image, image), [("stem", 0)], seed)
-
-
-def grouped_cnn(in_channels: int = 1, width: int = 16, groups: int = 4,
-                classes: int = 4, image: int = 8, seed: int = 0) -> NetworkIR:
-    """Conv with 1 < groups < channels; prunable only in whole channel
-    groups of width/groups."""
-    w = width
-    comps = [
-        conv2d("stem", in_channels, w, kernel=3, padding=1),
-        activation("act1", w, "relu"),
-        conv2d("gconv", w, w, kernel=3, padding=1, groups=groups),
-        batchnorm("bn", w),
-        activation("act2", w, "relu"),
-        pool("pool", w, kernel=2, op="avg"),
-        flatten("flat", w, (image // 2) ** 2),
-        linear("head", w * (image // 2) ** 2, classes),
-    ]
-    edges = [
-        ("stem", 0, "act1", 0), ("act1", 0, "gconv", 0),
-        ("gconv", 0, "bn", 0), ("bn", 0, "act2", 0), ("act2", 0, "pool", 0),
-        ("pool", 0, "flat", 0), ("flat", 0, "head", 0),
-    ]
-    return _finish(comps, edges, (in_channels, image, image), [("stem", 0)], seed)
-
-
-def split_cnn(in_channels: int = 1, classes: int = 4, image: int = 8,
-              seed: int = 0) -> NetworkIR:
-    """Split feeding two consumers, merged back by concat."""
-    comps = [
-        conv2d("stem", in_channels, 12, kernel=3, padding=1),
-        split("sp", [4, 8]),
-        conv2d("left", 4, 6, kernel=3, padding=1),
-        conv2d("right", 8, 6, kernel=1),
-        concat("cat", [6, 6]),
-        activation("act", 12, "relu"),
-        pool("pool", 12, kernel=2, op="avg"),
-        flatten("flat", 12, (image // 2) ** 2),
-        linear("head", 12 * (image // 2) ** 2, classes),
-    ]
-    edges = [
-        ("stem", 0, "sp", 0),
-        ("sp", 0, "left", 0), ("sp", 1, "right", 0),
-        ("left", 0, "cat", 0), ("right", 0, "cat", 1),
-        ("cat", 0, "act", 0), ("act", 0, "pool", 0),
-        ("pool", 0, "flat", 0), ("flat", 0, "head", 0),
-    ]
-    return _finish(comps, edges, (in_channels, image, image), [("stem", 0)], seed)
-
-
-BUNDLED = {
-    "two_layer_mlp": two_layer_mlp,
-    "spiral_mlp": spiral_mlp,
-    "fig_block": fig_block,
-    "residual_cnn": residual_cnn,
-    "concat_cnn": concat_cnn,
-    "depthwise_cnn": depthwise_cnn,
-    "grouped_cnn": grouped_cnn,
-    "split_cnn": split_cnn,
-}
-

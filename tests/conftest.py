@@ -48,10 +48,10 @@ def alternating_selection(group, min_keep=1):
 def oracle_models():
     """(name, IR) for the 8 bundled models and random_ir seeds 0-29: the
     models every loop-based oracle is compared on."""
-    from grouprune import zoo
     from random_nets import random_ir
+    from toy_models import BUNDLED
 
-    for name, build in sorted(zoo.BUNDLED.items()):
+    for name, build in sorted(BUNDLED.items()):
         yield name, build(seed=11)
     for seed in range(30):
         yield f"random_ir({seed})", random_ir(seed)

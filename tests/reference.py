@@ -16,8 +16,9 @@ accepted unit, with its own MAC formula.
 The group-index oracles walk a group one canonical index at a time
 through transform_locals, the literal definition of an index transform:
 importance as a sum over a set of (tensor, axis, local index) slices, and
-the regularizer gradient as a per-index coefficient loop. They share no
-code with IndexTransform.canonical or Group.slices.
+the regularizer coefficient as a per-index loop in float64, rounded once to
+float32 for the gradient. They share no code with IndexTransform.canonical
+or Group.slices.
 
 reference_sgd_step is the momentum step written out of place, one new
 array per momentum buffer and per weight.
@@ -519,14 +520,16 @@ def reference_group_l2_importance(ir, group, scope: str = "full",
     return values
 
 
-def reference_regularizer_grad(ir, groups, gammas, reg_weight: float,
-                               scope: str = "full") -> dict[str, np.ndarray]:
-    """2 * reg_weight * gamma_k * w[local] on every trainable slice in
-    scope, building each slice's coefficient one canonical index at a
-    time."""
-    grads: dict[str, np.ndarray] = {}
+def reference_regularizer_coefficients(ir, groups, gammas, reg_weight: float,
+                                       scope: str = "full") -> dict[str, np.ndarray]:
+    """Float64 coefficient of every trainable tensor in scope, shaped like
+    the tensor: 2 * reg_weight * sum_k gamma_k over every slice that holds
+    the element, built one canonical index at a time. Per axis, gamma_k is
+    summed over the slices on that axis; the axes' terms are then added in
+    ascending axis order."""
     if reg_weight == 0:
-        return grads
+        return {}
+    per_axis: dict[str, dict[int, np.ndarray]] = {}
     for group in groups:
         gamma = gammas[group.group_id].gamma
         seen = set()
@@ -541,18 +544,34 @@ def reference_regularizer_grad(ir, groups, gammas, reg_weight: float,
                 if (name, sl.axis, m.transform) in seen:
                     continue   # both halves of batchnorm / grouped conv
                 seen.add((name, sl.axis, m.transform))
-                w = ir.weights[name]
-                g = grads.setdefault(name, np.zeros_like(w))
-                coeff = np.zeros(w.shape[sl.axis], dtype=np.float64)
+                size = ir.weights[name].shape[sl.axis]
+                total = per_axis.setdefault(name, {}).setdefault(
+                    sl.axis, np.zeros(size, dtype=np.float64))
                 for k in range(group.width):
                     for local in transform_locals(m.transform, k,
                                                   m.half.channels):
-                        coeff[local] += gamma[k]
-                w_mv = np.moveaxis(w, sl.axis, 0)
-                g_mv = np.moveaxis(g, sl.axis, 0)
-                shape = (-1,) + (1,) * (w.ndim - 1)
-                g_mv += (2.0 * reg_weight * coeff.reshape(shape)
-                         * w_mv).astype(w.dtype)
+                        total[local] += gamma[k]
+    coeffs = {}
+    for name, axes in per_axis.items():
+        w = ir.weights[name]
+        c = np.zeros(w.shape, dtype=np.float64)
+        for axis in sorted(axes):
+            shape = [1] * w.ndim
+            shape[axis] = -1
+            c = c + 2.0 * reg_weight * axes[axis].reshape(shape)
+        coeffs[name] = c
+    return coeffs
+
+
+def reference_regularizer_grad(ir, groups, gammas, reg_weight: float,
+                               scope: str = "full") -> dict[str, np.ndarray]:
+    """The coefficient rounded once to float32, times w in float32, added
+    into zeros."""
+    grads: dict[str, np.ndarray] = {}
+    for name, c in reference_regularizer_coefficients(
+            ir, groups, gammas, reg_weight, scope).items():
+        w = ir.weights[name]
+        grads[name] = np.zeros_like(w) + c.astype(np.float32) * w
     return grads
 
 

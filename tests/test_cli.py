@@ -7,6 +7,7 @@ from grouprune import zoo
 from grouprune.cli import main
 from grouprune.ir import load_model, save_model
 from grouprune.reporting import read_csv
+import toy_models
 
 
 @pytest.fixture
@@ -221,7 +222,7 @@ def test_prune_no_grouping_keeps_every_port(model, mode, tmp_path):
     """Layer-wise scores alone would empty a concat/split port here; the
     plan builders keep one index of every port window instead."""
     path = tmp_path / "model.json"
-    save_model(zoo.BUNDLED[model](seed=5), path)
+    save_model(toy_models.BUNDLED[model](seed=5), path)
     out = tmp_path / "out"
     rc = main(["prune", "--model", str(path), "--out", str(out), "--ratio",
                "0.5", "--mode", mode, "--strategy", "no-grouping"])
@@ -336,7 +337,7 @@ def test_train_unknown_dataset_exits_2(tmp_path):
                                          ("spiral_mlp", "shapes")])
 def test_train_on_data_that_does_not_fit_exits_2(model, data, tmp_path, capsys):
     path = tmp_path / "model.json"
-    save_model(zoo.BUNDLED[model](), path)
+    save_model(toy_models.BUNDLED[model](), path)
     rc = main(["train", "--model", str(path), "--data", data,
                "--out", str(tmp_path / "o"), "--epochs", "1"])
     assert rc == 2

@@ -9,13 +9,14 @@ from grouprune.dependency import INTER, INTRA, build_depgraph, export_depgraph
 from grouprune.errors import GroupruneError
 from grouprune.ir import NetworkIR, batchnorm, conv2d, init_weights, linear
 from random_nets import random_ir
+import toy_models
 from grouprune.reporting import read_csv
 
 from reference import boolean_closure
 
 
 def test_two_layer_mlp_single_inter_edge():
-    ir = zoo.two_layer_mlp()
+    ir = toy_models.two_layer_mlp()
     d = build_depgraph(ir)
     assert d.count(INTER) == 1
     assert d.count(INTRA) == 0
@@ -40,7 +41,7 @@ def test_conv_bn_inter_plus_bn_intra():
 def test_residual_chain_reaches_whole_block():
     # pruning conv2 triggers bn2 downstream and bn1 <- conv1 upstream;
     # the closure from conv2's two halves must contain all of them
-    ir = zoo.fig_block()
+    ir = toy_models.fig_block()
     d = build_depgraph(ir)
     reach = boolean_closure(d.dense())
     idx = d.index
@@ -81,7 +82,7 @@ def test_edge_set_matches_rules_exactly():
 
 
 def test_passthrough_components_always_carry_intra():
-    ir = zoo.split_cnn()
+    ir = toy_models.split_cnn()
     d = build_depgraph(ir)
     for comp in ir.components:
         if comp.kind in ("activation", "pool", "eltwise", "concat", "split",
@@ -100,7 +101,7 @@ def test_half_order_is_canonical():
 
 
 def test_export_and_reparse(tmp_path):
-    ir = zoo.fig_block()
+    ir = toy_models.fig_block()
     d = build_depgraph(ir)
     path = tmp_path / "dep.csv"
     export_depgraph(d, path)
@@ -134,7 +135,7 @@ def _port_offset(comp, port, kind):
 
 
 def test_edges_store_their_index_steps():
-    models = [build(seed=2) for _, build in sorted(zoo.BUNDLED.items())]
+    models = [build(seed=2) for _, build in sorted(toy_models.BUNDLED.items())]
     models += [random_ir(seed) for seed in range(25)]
     for ir in models:
         d = build_depgraph(ir)

@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from grouprune import engine, zoo
+from grouprune import engine
 from grouprune.cli import main
 from grouprune.ir import load_model, save_model
 from random_nets import random_ir
+import toy_models
 
-MODELS = sorted(zoo.BUNDLED) + [f"random_ir{s}" for s in range(8)]
+MODELS = sorted(toy_models.BUNDLED) + [f"random_ir{s}" for s in range(8)]
 MUTATIONS = ("drop", "retype", "perturb", "swap-endpoint", "port")
 
 
@@ -35,7 +36,7 @@ def saved(tmp_path_factory):
     root = tmp_path_factory.mktemp("models")
     for name in MODELS:
         ir = (random_ir(int(name[len("random_ir"):]))
-              if name.startswith("random_ir") else zoo.BUNDLED[name]())
+              if name.startswith("random_ir") else toy_models.BUNDLED[name]())
         save_model(ir, root / f"{name}.json")
     return root
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from grouprune import zoo
 from grouprune.dependency import build_depgraph
 from grouprune.errors import GroupingError
 from grouprune.grouping import (IndexTransform, derive_grouping_matrix,
@@ -9,6 +8,7 @@ from grouprune.grouping import (IndexTransform, derive_grouping_matrix,
 from grouprune.ir import (NetworkIR, activation, conv2d, eltwise, init_weights,
                           linear, split)
 from random_nets import random_ir
+import toy_models
 from grouprune.reporting import read_csv
 
 from reference import (boolean_closure, closure_components, literal_expansion,
@@ -20,7 +20,7 @@ def groups_as_sets(groups):
 
 
 def test_mlp_middle_group_identity_transforms():
-    ir = zoo.two_layer_mlp()
+    ir = toy_models.two_layer_mlp()
     groups = extract_groups(build_depgraph(ir))
     mids = [g for g in groups if g.member_ids() == {"fc1:out", "fc2:in"}]
     assert len(mids) == 1
@@ -32,7 +32,7 @@ def test_mlp_middle_group_identity_transforms():
 
 
 def test_fig_block_group_from_conv2_output():
-    ir = zoo.fig_block()
+    ir = toy_models.fig_block()
     groups = extract_groups(build_depgraph(ir))
     out_group = next(g for g in groups if "conv2:out" in g.member_ids())
     assert {"bn2:in", "bn2:out", "add:in", "add:out"} <= out_group.member_ids()
@@ -41,7 +41,7 @@ def test_fig_block_group_from_conv2_output():
 
 
 def test_concat_offsets_into_consumer():
-    ir = zoo.concat_cnn(width_a=8, width_b=8)
+    ir = toy_models.concat_cnn(width_a=8, width_b=8)
     groups = extract_groups(build_depgraph(ir))
     g = next(g for g in groups if "cat:in" in g.member_ids())
     by_id = {m.half.node_id: m for m in g.members}
@@ -54,7 +54,7 @@ def test_concat_offsets_into_consumer():
 
 
 def test_transform_soundness_all_zoo_models():
-    for builder in zoo.BUNDLED.values():
+    for builder in toy_models.BUNDLED.values():
         ir = builder()
         for g in extract_groups(build_depgraph(ir)):
             for m in g.members:
@@ -114,7 +114,7 @@ def test_inconsistent_arithmetic_raises():
 
 
 def test_grouped_conv_units():
-    ir = zoo.grouped_cnn(width=16, groups=4)
+    ir = toy_models.grouped_cnn(width=16, groups=4)
     groups = extract_groups(build_depgraph(ir))
     g = next(g for g in groups if "gconv:in" in g.member_ids())
     assert g.units == tuple(tuple(range(i, i + 4)) for i in range(0, 16, 4))
@@ -124,7 +124,7 @@ def test_grouped_conv_units():
 
 
 def test_depthwise_merges_across_conv():
-    ir = zoo.depthwise_cnn()
+    ir = toy_models.depthwise_cnn()
     groups = extract_groups(build_depgraph(ir))
     g = next(g for g in groups if "dw:in" in g.member_ids())
     assert "dw:out" in g.member_ids()
@@ -145,7 +145,7 @@ def test_grouping_matrix_identity_when_no_edges():
 
 
 def test_grouping_matrix_residual_block_is_all_ones():
-    ir = zoo.fig_block()
+    ir = toy_models.fig_block()
     gm = derive_grouping_matrix(build_depgraph(ir))
     assert gm.component_ids == ["conv1", "bn1", "conv2", "bn2", "add"]
     np.testing.assert_array_equal(gm.matrix, np.ones((5, 5), dtype=np.int8))
@@ -182,7 +182,7 @@ def test_grouping_matrix_against_component_level_closure():
 
 
 def test_export_grouping_round_trip(tmp_path):
-    ir = zoo.fig_block()
+    ir = toy_models.fig_block()
     gm = derive_grouping_matrix(build_depgraph(ir))
     export_grouping(gm, tmp_path / "g.csv")
     header, rows = read_csv(tmp_path / "g.csv")
@@ -192,7 +192,7 @@ def test_export_grouping_round_trip(tmp_path):
 
 
 def test_group_report_lists_members():
-    ir = zoo.grouped_cnn()
+    ir = toy_models.grouped_cnn()
     report = group_report(extract_groups(build_depgraph(ir)))
     assert "gconv:in" in report
     assert "group_block(4)" in report

@@ -17,6 +17,7 @@ from grouprune.importance import (GroupImportance, default_topn,
 from grouprune.pruning import _seed_component_for
 from grouprune.sparse import layer_pseudo_groups
 
+import toy_models
 from conftest import oracle_models
 from reference import reference_group_l2_importance, transform_locals
 
@@ -27,7 +28,7 @@ def middle_group(ir):
 
 
 def test_single_linear_row_norms_squared():
-    ir = zoo.two_layer_mlp(in_features=4, hidden=3, out_features=2)
+    ir = toy_models.two_layer_mlp(in_features=4, hidden=3, out_features=2)
     w = np.zeros((3, 4), dtype=np.float32)
     w[0, 0], w[1, 0], w[2, 0] = 1.0, 2.0, 3.0
     ir.weights["fc1.weight"] = w
@@ -38,7 +39,7 @@ def test_single_linear_row_norms_squared():
 
 
 def test_two_identical_members_double_importance():
-    ir = zoo.two_layer_mlp(in_features=4, hidden=3, out_features=4)
+    ir = toy_models.two_layer_mlp(in_features=4, hidden=3, out_features=4)
     rng = np.random.default_rng(0)
     w1 = rng.normal(size=(3, 4)).astype(np.float32)
     ir.weights["fc1.weight"] = w1
@@ -94,7 +95,7 @@ def test_batchnorm_state_counted_once():
 
 
 def test_passthrough_members_contribute_zero():
-    ir = zoo.concat_cnn()
+    ir = toy_models.concat_cnn()
     groups = extract_groups(build_depgraph(ir))
     g = next(g for g in groups if "cat:in" in g.member_ids())
     # zero every parameterized member; importance must vanish even though
@@ -200,7 +201,7 @@ def test_relative_score_topn_mass_sums_to_n(values, data):
 @settings(max_examples=100)
 @given(st.floats(0.1, 100), st.integers(0, 10 ** 6))
 def test_scale_covariance(c, seed):
-    ir = zoo.two_layer_mlp(seed=seed % 17)
+    ir = toy_models.two_layer_mlp(seed=seed % 17)
     group = middle_group(ir)
     base = group_l2_importance(ir, group)
     scaled = ir.copy()
@@ -217,7 +218,7 @@ def test_scale_covariance(c, seed):
 
 
 def test_permutation_equivariance():
-    ir = zoo.two_layer_mlp(seed=3)
+    ir = toy_models.two_layer_mlp(seed=3)
     group = middle_group(ir)
     base = group_l2_importance(ir, group).values
     rng = np.random.default_rng(0)

@@ -6,6 +6,7 @@ from grouprune.errors import ModelParseError, ValidationError
 from grouprune.ir import (NetworkIR, batchnorm, conv2d, eltwise, init_weights,
                           linear, load_model, save_model, split)
 from grouprune import zoo
+import toy_models
 
 
 def test_three_layer_mlp_structure():
@@ -30,7 +31,7 @@ def test_bare_mlp_without_activations():
 
 
 def test_fig_block_decomposes_to_five_components():
-    ir = zoo.fig_block()
+    ir = toy_models.fig_block()
     assert len(ir.components) == 5
     kinds = [c.kind for c in ir.components]
     assert kinds.count("eltwise") == 1
@@ -88,7 +89,7 @@ def test_depthwise_scheme_equality_is_functional():
     # zeroing input channel k: both null w[k]
     from grouprune import engine
 
-    ir = zoo.depthwise_cnn(seed=3)
+    ir = toy_models.depthwise_cnn(seed=3)
     x = np.random.default_rng(1).normal(size=(6,) + ir.input_shape).astype(np.float32)
     k = 5
     via_out = ir.copy()
@@ -122,7 +123,7 @@ def test_scheme_of_is_deterministic():
 
 
 def test_half_channels_match_scheme_cardinality():
-    ir = zoo.concat_cnn()
+    ir = toy_models.concat_cnn()
     for h in ir.halves():
         assert h.channels > 0
 
@@ -135,7 +136,7 @@ def test_validate_ok_on_residual_block():
 
 
 def test_validate_wrong_weight_shape():
-    ir = zoo.two_layer_mlp()
+    ir = toy_models.two_layer_mlp()
     ir.weights["fc1.weight"] = ir.weights["fc1.weight"][:-1]
     violations = ir.validate()
     assert any("fc1.weight" in v and "shape" in v for v in violations)
@@ -151,7 +152,7 @@ def test_validate_cycle():
 
 
 def test_validate_rejects_nan_weights():
-    ir = zoo.two_layer_mlp()
+    ir = toy_models.two_layer_mlp()
     ir.weights["fc1.weight"][0, 0] = np.nan
     assert any("NaN" in v for v in ir.validate())
 
@@ -186,9 +187,9 @@ def test_validate_rejects_bad_int_attrs(comp, message):
 # -- serialization ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(zoo.BUNDLED))
+@pytest.mark.parametrize("name", sorted(toy_models.BUNDLED))
 def test_round_trip_is_identity(name, tmp_path):
-    ir = zoo.BUNDLED[name](seed=7)
+    ir = toy_models.BUNDLED[name](seed=7)
     d1, d2 = tmp_path / "a", tmp_path / "b"
     d1.mkdir(), d2.mkdir()
     save_model(ir, d1 / "m.json")
@@ -223,7 +224,7 @@ def test_load_missing_file_raises_oserror(tmp_path):
 
 
 def test_load_validates_shapes(tmp_path):
-    ir = zoo.two_layer_mlp()
+    ir = toy_models.two_layer_mlp()
     p = tmp_path / "m.json"
     save_model(ir, p)
     doc = p.read_text().replace('"in_features": 16', '"in_features": 15')

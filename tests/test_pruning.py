@@ -13,6 +13,7 @@ from grouprune.pruning import (PlanEntry, PrunePlan, boundary_roles,
                                end_to_end_prune, format_speedup_line,
                                min_keep_for, prunable_groups, prune, speedup)
 from random_nets import random_ir
+import toy_models
 
 from conftest import alternating_selection, oracle_models, zeroize_group
 from reference import reference_learned_plan, transform_locals
@@ -26,7 +27,7 @@ def middle_plan(ir, indices):
 
 
 def test_prune_linear_neuron_slices_both_layers():
-    ir = zoo.two_layer_mlp(in_features=4, hidden=5, out_features=3)
+    ir = toy_models.two_layer_mlp(in_features=4, hidden=5, out_features=3)
     plan, groups = middle_plan(ir, (2,))
     pruned = prune(ir, plan, groups)
     assert pruned.component("fc1").attrs["out_features"] == 4
@@ -54,7 +55,7 @@ def test_empty_plan_is_identity_on_bytes(tmp_path):
 @pytest.mark.parametrize("name", ["spiral_mlp", "residual_cnn", "concat_cnn",
                                   "depthwise_cnn", "grouped_cnn", "split_cnn"])
 def test_zero_group_functional_preservation(name):
-    ir = zoo.BUNDLED[name](seed=13)
+    ir = toy_models.BUNDLED[name](seed=13)
     groups = extract_groups(build_depgraph(ir))
     rng = np.random.default_rng(5)
     x = rng.normal(size=(100,) + ir.input_shape).astype(np.float32)
@@ -94,7 +95,7 @@ def test_builder_plans_prune_like_zeroizing_on_random_irs(mode):
 
 
 def test_grouped_conv_prunes_whole_groups():
-    ir = zoo.grouped_cnn(width=16, groups=4)
+    ir = toy_models.grouped_cnn(width=16, groups=4)
     groups = extract_groups(build_depgraph(ir))
     g = next(g for g in groups if "gconv:in" in g.member_ids())
     plan = PrunePlan(entries=[PlanEntry(g.group_id, g.fingerprint,
@@ -111,7 +112,7 @@ def test_grouped_conv_prunes_whole_groups():
 
 
 def test_stale_plan_rejected():
-    ir = zoo.two_layer_mlp()
+    ir = toy_models.two_layer_mlp()
     plan, groups = middle_plan(ir, (0,))
     smaller = prune(ir, plan, groups)
     with pytest.raises(PruneError, match="stale"):
@@ -119,21 +120,21 @@ def test_stale_plan_rejected():
 
 
 def test_min_keep_violation_rejected():
-    ir = zoo.two_layer_mlp(hidden=4)
+    ir = toy_models.two_layer_mlp(hidden=4)
     plan, groups = middle_plan(ir, (0, 1, 2, 3))
     with pytest.raises(PruneError):
         prune(ir, plan, groups)
 
 
 def test_out_of_range_rejected():
-    ir = zoo.two_layer_mlp(hidden=4)
+    ir = toy_models.two_layer_mlp(hidden=4)
     plan, groups = middle_plan(ir, (7,))
     with pytest.raises(PruneError, match="out of range"):
         prune(ir, plan, groups)
 
 
 def test_concat_sizes_updated():
-    ir = zoo.concat_cnn(width_a=8, width_b=8)
+    ir = toy_models.concat_cnn(width_a=8, width_b=8)
     groups = extract_groups(build_depgraph(ir))
     g = next(g for g in groups if "cat:in" in g.member_ids())
     # drop three channels of branch_a's window and one of branch_b's
@@ -148,7 +149,7 @@ def test_concat_sizes_updated():
 
 
 def test_split_sizes_updated():
-    ir = zoo.split_cnn()
+    ir = toy_models.split_cnn()
     groups = extract_groups(build_depgraph(ir))
     g = next(g for g in groups if "sp:in" in g.member_ids())
     plan = PrunePlan(entries=[PlanEntry(g.group_id, g.fingerprint, (1, 6))])
@@ -168,7 +169,7 @@ def test_speedup_identity():
 
 
 def test_speedup_half_width_mlp_near_two():
-    ir = zoo.two_layer_mlp(in_features=16, hidden=32, out_features=10)
+    ir = toy_models.two_layer_mlp(in_features=16, hidden=32, out_features=10)
     plan, groups = middle_plan(ir, tuple(range(16)))
     pruned = prune(ir, plan, groups)
     assert 1.9 <= speedup(ir, pruned) <= 2.1
@@ -234,7 +235,7 @@ def test_learned_plan_prunes_zeroized_group_hardest():
 
 
 def test_min_keep_two_for_groups_feeding_the_output():
-    ir = zoo.two_layer_mlp(hidden=4)
+    ir = toy_models.two_layer_mlp(hidden=4)
     groups = extract_groups(build_depgraph(ir))
     g = next(g for g in groups if "fc2:in" in g.member_ids())
     assert min_keep_for(ir, g) == 2
@@ -275,7 +276,7 @@ def test_plan_round_trip(tmp_path):
 
 
 def test_pruned_model_round_trips_by_file(tmp_path):
-    ir = zoo.concat_cnn()
+    ir = toy_models.concat_cnn()
     pruned, _plan, _report = end_to_end_prune(ir, 0.25, mode="uniform")
     save_model(pruned, tmp_path / "p.json")
     again = load_model(tmp_path / "p.json")

@@ -10,14 +10,16 @@ from grouprune.errors import TrainingDiverged
 from grouprune.grouping import extract_groups
 from grouprune.importance import GroupImportance, group_l2_importance
 from grouprune.ir import NetworkIR, init_weights, linear
-from grouprune.sparse import (SparseConfig, compute_gamma, layer_pseudo_groups,
-                              near_zero_fraction, refresh_gamma,
-                              regularizer_grad, regularizer_value,
-                              sparsity_groups, train_sparse)
+from grouprune.sparse import (SparseConfig, coefficient_map, compute_gamma,
+                              layer_pseudo_groups, near_zero_fraction,
+                              refresh_gamma, regularizer_grad,
+                              regularizer_value, sparsity_groups, train_sparse)
 
+import toy_models
 from conftest import oracle_models
-from reference import (fd_scalar, grad_rel_err, reference_regularizer_grad,
-                       reference_sgd_step)
+from reference import (fd_scalar, grad_rel_err,
+                       reference_regularizer_coefficients,
+                       reference_regularizer_grad, reference_sgd_step)
 
 
 def _imp(values):
@@ -147,6 +149,102 @@ def test_regularizer_grad_signed_zeros_match_oracle():
             assert got[tensor].tobytes() == want[tensor].tobytes(), tensor
 
 
+def test_regularizer_grad_is_float64_gradient_to_float32_rounding():
+    # The gradient rounds the float64 coefficient 2 * lambda * sum(gamma)
+    # once to float32 and multiplies in float32: two roundings, each at
+    # most 2**-24 relative, so it sits within about 1.2e-7 of the float64
+    # gradient. rtol 1e-6 (about 8 float32 ulps) leaves room, and no atol.
+    for name, ir in oracle_models():
+        groups = extract_groups(build_depgraph(ir))
+        for strategy in ("full-grouping", "conv-only", "no-grouping"):
+            reg_groups, scope = sparsity_groups(ir, groups, strategy)
+            gammas = refresh_gamma(ir, reg_groups, scope, 4.0)
+            got = regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
+            exact = reference_regularizer_coefficients(ir, reg_groups, gammas,
+                                                       0.37, scope)
+            assert sorted(got) == sorted(exact), (name, strategy)
+            for tensor, c in exact.items():
+                want = c * ir.weights[tensor].astype(np.float64)
+                np.testing.assert_allclose(got[tensor], want, rtol=1e-6, atol=0,
+                                           err_msg=f"{name} {strategy} {tensor}")
+
+
+def test_regularizer_grad_in_blocks_matches_oracle(monkeypatch):
+    # The bundled models fit in one block; 5-element blocks split every
+    # tensor along axis 0, with a remainder. Full grouping gives dense maps,
+    # no-grouping axis-0 vectors and a single group alone some axis-1 ones.
+    import grouprune.sparse as sparse_mod
+
+    monkeypatch.setattr(sparse_mod, "_CHUNK", 5)
+    for name, build in sorted(toy_models.BUNDLED.items()):
+        ir = build(seed=3)
+        groups = extract_groups(build_depgraph(ir))
+        cases = [sparsity_groups(ir, groups, s)
+                 for s in ("full-grouping", "no-grouping")]
+        cases += [([g], "full") for g in groups]
+        for reg_groups, scope in cases:
+            gammas = refresh_gamma(ir, reg_groups, scope, 4.0)
+            task = {n: np.full_like(w, 0.25) for n, w in ir.weights.items()}
+            got = regularizer_grad(ir, reg_groups, gammas, 0.37, scope,
+                                   grads={n: g.copy() for n, g in task.items()})
+            want = reference_regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
+            for tensor, reg in want.items():
+                assert got[tensor].tobytes() == (task[tensor] + reg).tobytes(), \
+                    (name, [g.group_id for g in reg_groups], tensor)
+
+
+@pytest.mark.parametrize("model", ["spiral_mlp", "residual_cnn"])
+def test_coefficient_map_rebuilt_at_each_gamma_refresh(model, monkeypatch):
+    import grouprune.sparse as sparse_mod
+
+    if model == "spiral_mlp":
+        (xtr, ytr), _ = _tiny_task()
+    else:
+        (xtr, ytr), _ = train_test_split(*shapes(n=64, seed=4), seed=4)
+    ir = toy_models.BUNDLED[model](seed=4)
+    groups = extract_groups(build_depgraph(ir))
+    cfg = SparseConfig(epochs=2, reg_weight=5e-2, lr=0.05, batch_size=16,
+                       refresh_period=3, seed=4)
+    refresh = sparse_mod.refresh_gamma
+    latest, builds, steps, maps = [], [], [], []
+
+    def refresh_spy(*args, **kwargs):
+        latest[:] = [refresh(*args, **kwargs)]
+        return latest[0]
+
+    def map_spy(*args, **kwargs):
+        builds.append(len(steps))
+        maps.append(coefficient_map(*args, **kwargs))
+        return maps[-1]
+
+    def grad_spy(ir, groups, gammas, reg_weight, scope, *, coeffs, grads):
+        # the map in use is the one the latest gammas define
+        want = reference_regularizer_coefficients(ir, groups, latest[0],
+                                                  reg_weight, scope)
+        assert sorted(coeffs) == sorted(want)
+        for tensor, c in want.items():
+            got = np.broadcast_to(coeffs[tensor], c.shape)
+            assert got.tobytes() == c.astype(np.float32).tobytes(), tensor
+        steps.append(1)
+        return regularizer_grad(ir, groups, gammas, reg_weight, scope,
+                                coeffs=coeffs, grads=grads)
+
+    monkeypatch.setattr(sparse_mod, "refresh_gamma", refresh_spy)
+    monkeypatch.setattr(sparse_mod, "coefficient_map", map_spy)
+    monkeypatch.setattr(sparse_mod, "regularizer_grad", grad_spy)
+    train_sparse(ir, (xtr, ytr), cfg, groups)
+    n_steps = 2 * ((len(xtr) + 15) // 16)
+    assert len(steps) == n_steps
+    # 1 + n_steps // 3 builds: before the first step, then after every third
+    assert builds == [0] + list(range(3, n_steps + 1, 3))
+    # a refresh rewrites the dense maps in place instead of allocating
+    dense = [name for name, c in maps[0].items()
+             if c.ndim > 1 and c.shape == ir.weights[name].shape]
+    assert dense
+    for m in maps[1:]:
+        assert all(m[name] is maps[0][name] for name in dense)
+
+
 # -- training loop ------------------------------------------------------------
 
 
@@ -217,7 +315,7 @@ def test_training_loop_matches_reference_bytes(model, strategy):
         (xtr, ytr), _ = _tiny_task()
     else:
         (xtr, ytr), _ = train_test_split(*shapes(n=64, seed=4), seed=4)
-    ir = zoo.BUNDLED[model](seed=4)
+    ir = toy_models.BUNDLED[model](seed=4)
     want = ir.copy()
     groups = extract_groups(build_depgraph(ir))
     cfg = SparseConfig(epochs=2, reg_weight=5e-2, lr=0.05, batch_size=16,
