@@ -13,8 +13,6 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 from . import engine
 from .ablate import STRATEGIES, make_data, run_ablation
 from .data import DATASETS
@@ -48,13 +46,8 @@ def cmd_inspect(args) -> int:
     export_grouping(gm, out / "grouping.csv")
     report = group_report(groups)
     report += "\ncomponent-level groups:\n"
-    seen = set()
-    for cid in gm.component_ids:
-        coupled = tuple(gm.coupled(cid))
-        if coupled in seen:
-            continue
-        seen.add(coupled)
-        report += f"  {{{', '.join(coupled)}}}\n"
+    for ids in gm.groups:
+        report += f"  {{{', '.join(ids)}}}\n"
     (out / "groups.txt").write_text(report)
     print(report, end="")
     print(f"wrote {out / 'depgraph.csv'}, {out / 'grouping.csv'}, "

@@ -15,9 +15,10 @@ as ``(neighbour, shift, ratio)``: local index i of one half lines up with
 index ``i + shift`` of the neighbour, and one neighbour index spans
 ``ratio`` of this half's indices. ``shift`` is the difference of the two
 port offsets (concat inputs and split outputs sit at an offset,
-everything else at 0) and the reverse step carries ``-shift``; ``ratio``
-is ``1/spatial_size`` from a flatten's input half to its output half,
-``spatial_size`` back, and 1 everywhere else. Parallel IR edges between
+everything else at 0) and the reverse step carries ``-shift``; across an
+intra edge ``ratio`` is the input half's width over the output half's
+(``1/spatial_size`` through a flatten), inverted on the way back, and it
+is 1 across every inter edge. Parallel IR edges between
 the same halves keep one step each, and each half's steps are sorted by
 neighbour. This is the only walk over the IR's wiring; grouping reads
 the steps and never looks at the IR's edges.
@@ -62,9 +63,6 @@ class DependencyGraph:
         self.steps[b].append((a, -shift, 1 if ratio == 1 else 1 / ratio))
         self.labels[frozenset((a, b))] = label
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self.labels
-
     def label(self, a: int, b: int) -> str | None:
         return self.labels.get(frozenset((a, b)))
 
@@ -89,18 +87,16 @@ def build_depgraph(ir: "_ir.NetworkIR") -> DependencyGraph:
     """
     d = DependencyGraph(ir)
     for e in ir.edges:
-        src = ir.component(e.src)
-        dst = ir.component(e.dst)
-        shift = (_ir.input_port_offset(dst, e.dst_port)
-                 - _ir.output_port_offset(src, e.src_port))
+        shift = (ir.ports(e.dst).ins[e.dst_port][0]
+                 - ir.ports(e.src).outs[e.src_port][0])
         d.add_edge(d.index[f"{e.src}:out"], d.index[f"{e.dst}:in"], INTER,
                    shift, 1)
-    for comp in ir.components:
-        if _ir.scheme_for(comp, "in") == _ir.scheme_for(comp, "out"):
-            ratio = (Fraction(1, comp.attrs["spatial_size"])
-                     if comp.kind == "flatten" else 1)
-            d.add_edge(d.index[f"{comp.comp_id}:in"],
-                       d.index[f"{comp.comp_id}:out"], INTRA, 0, ratio)
+    for a in range(0, d.order, 2):   # each component's input, output half
+        h_in, h_out = d.halves[a], d.halves[a + 1]
+        if h_in.scheme == h_out.scheme:
+            ratio = (1 if h_in.channels == h_out.channels
+                     else Fraction(h_in.channels, h_out.channels))
+            d.add_edge(a, a + 1, INTRA, 0, ratio)
     for steps in d.steps:
         steps.sort(key=lambda s: s[0])
     return d

@@ -37,6 +37,7 @@ import numpy as np
 from . import ir as _ir
 from .dependency import DependencyGraph
 from .errors import GroupingError, GroupruneError
+from .kinds import SPECS
 from .reporting import write_binary_matrix
 
 
@@ -95,10 +96,6 @@ class Group:
     def member_ids(self) -> set[str]:
         return {m.half.node_id for m in self.members}
 
-    @property
-    def has_atoms(self) -> bool:
-        return any(len(u) > 1 for u in self.units)
-
     def slices(self, ir):
         """(member, component, role, tensor name, axis) of every parameter
         slice the group removes, once per (tensor, axis), in member order.
@@ -116,15 +113,16 @@ class Group:
                     yield m, comp, sl.role, name, sl.axis
 
     def port_windows(self, ir) -> list[set[int]]:
-        """Canonical indices behind each port of the group's concat and
-        split input halves; pruning all of one window empties its port."""
+        """Canonical indices behind each window of the group's input halves
+        that pruning must not empty (the ports of a concat or split)."""
         windows = []
         for m in self.members:
+            if m.half.side != "in":
+                continue
             comp = ir.component(m.half.component_id)
-            if m.half.side == "in" and comp.kind in ("concat", "split"):
+            for off, width in SPECS[comp.kind].windows(comp.attrs):
                 canonical = m.transform.canonical(m.half.channels)
-                bounds = np.cumsum(comp.attrs["sizes"])[:-1]
-                windows += [set(w.tolist()) for w in np.split(canonical, bounds)]
+                windows.append(set(canonical[off:off + width].tolist()))
         return windows
 
     def __repr__(self):
@@ -197,21 +195,14 @@ def _normalize(d: DependencyGraph, placements: dict[int, tuple]) -> tuple[int, d
                 f"inconsistent channel arithmetic between {first} and "
                 f"{halves[i].node_id}: {halves[i].channels} channels do not "
                 f"split into units of {factor}")
-        block = selection_block(d.ir.component(halves[i].component_id))
+        comp = d.ir.component(halves[i].component_id)
+        block = SPECS[comp.kind].block(comp.attrs)
         transforms[i] = IndexTransform(delta=delta, factor=factor, block=block)
         if block > 1:
             blocks.append((delta, factor, halves[i].channels // factor, block))
 
     units = selection_units(width, blocks)
     return width, transforms, units
-
-
-def selection_block(comp) -> int:
-    """Local indices that must be selected together: the channels of one
-    group of a grouped convolution, 1 for every other member."""
-    if comp.kind == "conv2d" and comp.attrs["groups"] > 1:
-        return _ir.conv_block_size(comp)
-    return 1
 
 
 def _union_roots(n: int, pairs) -> list[int]:
@@ -301,15 +292,15 @@ class GroupingMatrix:
 
     Derived from connected components of the dependency graph collapsed to
     component granularity; the diagonal is all ones by construction.
+    groups lists each connected set's component ids in component order,
+    the sets ordered by their first member.
     """
 
-    def __init__(self, component_ids: list[str], matrix: np.ndarray):
+    def __init__(self, component_ids: list[str], matrix: np.ndarray,
+                 groups: list[list[str]]):
         self.component_ids = component_ids
         self.matrix = matrix
-
-    def coupled(self, comp_id: str) -> list[str]:
-        i = self.component_ids.index(comp_id)
-        return [self.component_ids[j] for j in np.flatnonzero(self.matrix[i])]
+        self.groups = groups
 
 
 def derive_grouping_matrix(d: DependencyGraph) -> GroupingMatrix:
@@ -317,9 +308,14 @@ def derive_grouping_matrix(d: DependencyGraph) -> GroupingMatrix:
     components: component i couples with j iff any path joins them."""
     # half h belongs to component h // 2 in the canonical half order
     pairs = ((a // 2, b // 2) for a, b in map(tuple, d.labels))
-    roots = np.array(_union_roots(len(d.ir.components), pairs), dtype=np.int64)
+    roots = _union_roots(len(d.ir.components), pairs)
+    ids = [c.comp_id for c in d.ir.components]
+    groups: dict[int, list[str]] = {}
+    for cid, root in zip(ids, roots):
+        groups.setdefault(root, []).append(cid)
+    roots = np.array(roots, dtype=np.int64)
     matrix = (roots[:, None] == roots[None, :]).astype(np.int8)
-    return GroupingMatrix([c.comp_id for c in d.ir.components], matrix)
+    return GroupingMatrix(ids, matrix, list(groups.values()))
 
 
 def export_grouping(g: GroupingMatrix, path) -> None:

@@ -9,7 +9,8 @@ that pruning can rewrite tensors without touching topology.
 Every half node carries a pruning scheme: the list of (parameter role,
 axis) slices that get removed when one of its prunable indices is pruned.
 Scheme equality between the two halves of one component is what later
-produces intra-component dependency edges.
+produces intra-component dependency edges. Port windows, parameter roles
+and attribute rules come from the kind's entry in kinds.SPECS.
 """
 
 from __future__ import annotations
@@ -17,30 +18,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelParseError, ShapeError, ValidationError
+from .kinds import SPECS, is_int
 
 FORMAT_NAME = "grouprune-model"
 FORMAT_VERSION = 1
-
-KINDS = (
-    "linear",
-    "conv2d",
-    "batchnorm",
-    "activation",
-    "pool",
-    "eltwise",
-    "concat",
-    "split",
-    "flatten",
-)
-
-ACTIVATIONS = ("relu", "tanh", "identity")
-
-# Parameter roles that are per-channel state but not trained by SGD.
-BUFFER_ROLES = ("running_mean", "running_var")
 
 
 @dataclass(frozen=True)
@@ -55,31 +41,12 @@ class SliceSpec:
 class PruningScheme:
     """What gets sliced when index k of a half node is pruned.
 
-    Two schemes are equal iff they slice the same roles along the same
-    axes; pass-through halves have an empty slice list and therefore all
-    compare equal.
+    Slices are listed in the kind's role order, so two schemes are equal
+    iff they slice the same roles along the same axes; pass-through
+    halves have an empty slice list and therefore all compare equal.
     """
 
     slices: tuple[SliceSpec, ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, PruningScheme):
-            return NotImplemented
-        return frozenset(self.slices) == frozenset(other.slices)
-
-    def __hash__(self):
-        return hash(frozenset(self.slices))
-
-    @property
-    def is_passthrough(self) -> bool:
-        return not self.slices
-
-
-def _scheme(*slices: tuple[str, int]) -> PruningScheme:
-    return PruningScheme(tuple(SliceSpec(r, a) for r, a in slices))
-
-
-PASSTHROUGH_SCHEME = _scheme()
 
 
 @dataclass(frozen=True)
@@ -120,122 +87,10 @@ class Component:
     params: dict = field(default_factory=dict)   # role -> tensor name
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SPECS:
             raise ModelParseError(
                 f"component {self.comp_id!r}: unknown kind {self.kind!r}"
             )
-
-
-# ---------------------------------------------------------------------------
-# Per-kind channel arithmetic
-
-
-def in_channels(comp: Component) -> int:
-    k, a = comp.kind, comp.attrs
-    if k == "linear":
-        return a["in_features"]
-    if k == "conv2d":
-        return a["in_channels"]
-    if k == "batchnorm":
-        return a["num_features"]
-    if k in ("activation", "pool", "eltwise", "flatten"):
-        return a["channels"]
-    if k in ("concat", "split"):
-        return sum(a["sizes"])
-    raise AssertionError(k)
-
-
-def out_channels(comp: Component) -> int:
-    k, a = comp.kind, comp.attrs
-    if k == "linear":
-        return a["out_features"]
-    if k == "conv2d":
-        return a["out_channels"]
-    if k == "flatten":
-        return a["channels"] * a["spatial_size"]
-    return in_channels(comp)
-
-
-def num_input_ports(comp: Component) -> int:
-    if comp.kind == "eltwise":
-        return 2
-    if comp.kind == "concat":
-        return len(comp.attrs["sizes"])
-    return 1
-
-
-def num_output_ports(comp: Component) -> int:
-    if comp.kind == "split":
-        return len(comp.attrs["sizes"])
-    return 1
-
-
-def input_port_channels(comp: Component, port: int) -> int:
-    if comp.kind == "concat":
-        return comp.attrs["sizes"][port]
-    if comp.kind == "eltwise":
-        return comp.attrs["channels"]
-    return in_channels(comp)
-
-
-def output_port_channels(comp: Component, port: int) -> int:
-    if comp.kind == "split":
-        return comp.attrs["sizes"][port]
-    return out_channels(comp)
-
-
-def input_port_offset(comp: Component, port: int) -> int:
-    """Offset of an input port inside the component's input coordinate."""
-    if comp.kind == "concat":
-        return sum(comp.attrs["sizes"][:port])
-    return 0
-
-
-def output_port_offset(comp: Component, port: int) -> int:
-    if comp.kind == "split":
-        return sum(comp.attrs["sizes"][:port])
-    return 0
-
-
-def conv_block_size(comp: Component) -> int:
-    """Channels per convolution group; prunable atom for grouped convs."""
-    g = comp.attrs.get("groups", 1)
-    return comp.attrs["out_channels"] // g
-
-
-# ---------------------------------------------------------------------------
-# Pruning schemes per kind
-
-
-def scheme_for(comp: Component, side: str) -> PruningScheme:
-    """Deterministic pruning scheme of one half of a component.
-
-    Non-parameterized kinds get the shared pass-through scheme on both
-    sides: they own no slices but still propagate channel identity.
-    """
-    k = comp.kind
-    if k == "linear":
-        if side == "out":
-            slices = [("weight", 0)] + ([("bias", 0)] if "bias" in comp.params else [])
-            return _scheme(*slices)
-        return _scheme(("weight", 1))
-    if k == "conv2d":
-        out_slices = [("weight", 0)] + ([("bias", 0)] if "bias" in comp.params else [])
-        if side == "out" or comp.attrs.get("groups", 1) > 1:
-            # Removing an input channel of a grouped conv removes the
-            # filters of its own group, i.e. the same axis-0 weight rows
-            # as the output side. Bias rides along on either side.
-            return _scheme(*out_slices)
-        return _scheme(("weight", 1))
-    if k == "batchnorm":
-        return _scheme(("gamma", 0), ("beta", 0), ("running_mean", 0),
-                       ("running_var", 0))
-    return PASSTHROUGH_SCHEME
-
-
-def half_node(comp: Component, side: str) -> HalfNode:
-    ch = in_channels(comp) if side == "in" else out_channels(comp)
-    return HalfNode(comp.comp_id, side, ch, scheme_for(comp, side))
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +151,15 @@ def flatten(comp_id: str, channels: int, spatial_size: int) -> Component:
                      {"channels": channels, "spatial_size": spatial_size})
 
 
-def param_shapes(comp: Component) -> dict[str, tuple[int, ...]]:
-    """Expected shape per parameter role."""
-    k, a = comp.kind, comp.attrs
-    if k == "linear":
-        shapes = {"weight": (a["out_features"], a["in_features"])}
-        if "bias" in comp.params:
-            shapes["bias"] = (a["out_features"],)
-        return shapes
-    if k == "conv2d":
-        kh = kw = a["kernel"]
-        shapes = {"weight": (a["out_channels"], a["in_channels"] // a["groups"], kh, kw)}
-        if "bias" in comp.params:
-            shapes["bias"] = (a["out_channels"],)
-        return shapes
-    if k == "batchnorm":
-        return {role: (a["num_features"],) for role in
-                ("gamma", "beta", "running_mean", "running_var")}
-    return {}
-
-
 # ---------------------------------------------------------------------------
 # The IR container
+
+
+class Ports(NamedTuple):
+    """(offset, width) windows of a component's input and output ports."""
+
+    ins: list[tuple[int, int]]
+    outs: list[tuple[int, int]]
 
 
 class NetworkIR:
@@ -329,9 +171,10 @@ class NetworkIR:
 
     The topology (components, edges, input consumers) is immutable after
     construction: consumers and input ports are indexed once here, and the
-    exit component and topological order are computed on first use and
-    then reused. Only the weight store may change. `feed(comp_id, port)`
-    answers which producer port feeds an input port.
+    exit component, topological order, port windows, half nodes and each
+    value's last reader are computed on first use and then reused. Only
+    the weight store may change. `feed(comp_id, port)` answers which
+    producer port feeds an input port.
     """
 
     def __init__(self, components, edges, input_shape, input_consumers,
@@ -356,19 +199,36 @@ class NetworkIR:
             self._feeds.setdefault((cid, port), []).append(None)
         self._exit: Component | None = None
         self._topo: list[Component] | None = None
+        self._ports: dict[str, Ports] | None = None
+        self._halves: list[HalfNode] | None = None
+        self._released: dict[str, list[tuple[str, int]]] | None = None
 
     # -- lookups ----------------------------------------------------------
 
     def component(self, comp_id: str) -> Component:
         return self.components[self._index[comp_id]]
 
+    def ports(self, comp_id: str) -> Ports:
+        """Port windows of a component; its attributes must be valid."""
+        if self._ports is None:
+            self._ports = {c.comp_id: Ports(SPECS[c.kind].in_ports(c.attrs),
+                                            SPECS[c.kind].out_ports(c.attrs))
+                           for c in self.components}
+        return self._ports[comp_id]
+
     def halves(self) -> list[HalfNode]:
         """All 2L half nodes, component order, input half first."""
-        out = []
-        for comp in self.components:
-            out.append(half_node(comp, "in"))
-            out.append(half_node(comp, "out"))
-        return out
+        if self._halves is None:
+            self._halves = []
+            for comp in self.components:
+                spec, ports = SPECS[comp.kind], self.ports(comp.comp_id)
+                for side, windows in (("in", ports.ins), ("out", ports.outs)):
+                    scheme = PruningScheme(tuple(
+                        SliceSpec(role, axis)
+                        for role, axis in spec.slices(comp, side)))
+                    width = max(off + w for off, w in windows)
+                    self._halves.append(HalfNode(comp.comp_id, side, width, scheme))
+        return list(self._halves)
 
     @property
     def input_channels(self) -> int:
@@ -385,6 +245,19 @@ class NetworkIR:
             fault = f"fed {len(srcs)} times" if srcs else "not connected"
             raise ValidationError(f"{comp_id}: input port {port} {fault}")
         return srcs[0]
+
+    def released_by(self, comp_id: str) -> list[tuple[str, int]]:
+        """The values, as (producer, output port), that no component after
+        comp_id in topological order reads."""
+        if self._released is None:
+            pos = {c.comp_id: i for i, c in enumerate(self.topo_order())}
+            self._released = {cid: [] for cid in pos}
+            for src, edges in self._consumers.items():
+                for port in {e.src_port for e in edges}:
+                    last = max((e.dst for e in edges if e.src_port == port),
+                               key=pos.__getitem__)
+                    self._released[last].append((src, port))
+        return self._released[comp_id]
 
     def exit_component(self) -> Component:
         if self._exit is None:
@@ -435,7 +308,7 @@ class NetworkIR:
                      f"got {self.input_shape}")
 
         for comp in self.components:
-            v.extend(_check_attrs(comp))
+            v.extend(SPECS[comp.kind].check(comp))
 
         for e in self.edges:
             if e.src not in ids or e.dst not in ids:
@@ -448,7 +321,7 @@ class NetworkIR:
 
         # port wiring: every input port fed exactly once
         for comp in self.components:
-            for port in range(num_input_ports(comp)):
+            for port in range(len(self.ports(comp.comp_id).ins)):
                 try:
                     self.feed(comp.comp_id, port)
                 except ValidationError as exc:
@@ -457,24 +330,23 @@ class NetworkIR:
         # existing ports, and channel agreement along edges and from the
         # raw input
         for e in self.edges:
-            src, dst = self.component(e.src), self.component(e.dst)
-            if not 0 <= e.src_port < num_output_ports(src):
-                v.append(f"{src.comp_id}: no such output port {e.src_port}")
+            outs, ins = self.ports(e.src).outs, self.ports(e.dst).ins
+            if not 0 <= e.src_port < len(outs):
+                v.append(f"{e.src}: no such output port {e.src_port}")
                 continue
-            if not 0 <= e.dst_port < num_input_ports(dst):
-                v.append(f"{dst.comp_id}: no such input port {e.dst_port}")
+            if not 0 <= e.dst_port < len(ins):
+                v.append(f"{e.dst}: no such input port {e.dst_port}")
                 continue
-            a = output_port_channels(src, e.src_port)
-            b = input_port_channels(dst, e.dst_port)
+            a, b = outs[e.src_port][1], ins[e.dst_port][1]
             if a != b:
-                v.append(f"channel mismatch on {src.comp_id}:out[{e.src_port}] "
-                         f"({a}) -> {dst.comp_id}:in[{e.dst_port}] ({b})")
+                v.append(f"channel mismatch on {e.src}:out[{e.src_port}] "
+                         f"({a}) -> {e.dst}:in[{e.dst_port}] ({b})")
         for cid, port in self.input_consumers:
-            comp = self.component(cid)
-            if not 0 <= port < num_input_ports(comp):
+            ins = self.ports(cid).ins
+            if not 0 <= port < len(ins):
                 v.append(f"{cid}: no such input port {port}")
                 continue
-            want = input_port_channels(comp, port)
+            want = ins[port][1]
             if want != self.input_channels:
                 v.append(f"network input has {self.input_channels} channels but "
                          f"{cid}:in[{port}] expects {want}")
@@ -483,7 +355,7 @@ class NetworkIR:
         # DAG-ness
         sinks = []
         for comp in self.components:
-            ports = set(range(num_output_ports(comp)))
+            ports = set(range(len(self.ports(comp.comp_id).outs)))
             used = {e.src_port for e in self._consumers.get(comp.comp_id, ())}
             if not used:
                 sinks.append(comp.comp_id)
@@ -499,9 +371,12 @@ class NetworkIR:
         except ValidationError as exc:
             v.extend(exc.violations)
 
-        # weight store agreement
+        # weight store agreement; a role the kind lacks is never read, and
+        # save_model would fail on it
         for comp in self.components:
-            for role, shape in param_shapes(comp).items():
+            for role in sorted(set(comp.params) - set(SPECS[comp.kind].roles)):
+                v.append(f"{comp.comp_id}: unknown parameter role {role!r}")
+            for role, shape in SPECS[comp.kind].param_shapes(comp).items():
                 name = comp.params.get(role)
                 if name is None:
                     v.append(f"{comp.comp_id}: missing parameter role {role!r}")
@@ -519,7 +394,6 @@ class NetworkIR:
 
         # tensor shapes along the wiring, once the wiring itself holds
         if not v:
-            from .engine import infer_shapes
             try:
                 infer_shapes(self)
             except ShapeError as exc:
@@ -533,75 +407,34 @@ class NetworkIR:
         return self
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool (True is an int in Python)."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def infer_shapes(ir: NetworkIR) -> dict[str, tuple]:
+    """Per-sample output shape of every component; a split's is the shape
+    of its whole input.
 
+    Raises ShapeError naming the first component, in topological order,
+    whose inputs do not fit it: a rank it cannot take, operands that
+    differ beyond the channel axis, or a spatial size that does not work
+    out.
+    """
+    shapes: dict[str, tuple] = {}
 
-def _is_real(x) -> bool:
-    """A non-bool int or a finite float."""
-    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+    def port_shape(e):
+        if e is None:
+            return ir.input_shape
+        return (ir.ports(e.src).outs[e.src_port][1],) + shapes[e.src][1:]
 
-
-def _check_attrs(comp: Component) -> list[str]:
-    v = []
-    a = comp.attrs
-    k = comp.kind
-
-    def need(key, pred=lambda x: _is_int(x) and x > 0, what="positive int"):
-        if key not in a:
-            v.append(f"{comp.comp_id}: missing attr {key!r}")
-            return False
-        if not pred(a[key]):
-            v.append(f"{comp.comp_id}: attr {key!r} must be {what}, got {a[key]!r}")
-            return False
-        return True
-
-    if k == "linear":
-        need("in_features")
-        need("out_features")
-    elif k == "conv2d":
-        ok = need("in_channels") and need("out_channels") and need("groups")
-        need("kernel")
-        need("stride")
-        need("padding", lambda x: _is_int(x) and x >= 0, "non-negative int")
-        if ok:
-            g = a["groups"]
-            if a["in_channels"] % g or a["out_channels"] % g:
-                v.append(f"{comp.comp_id}: groups={g} does not divide channels "
-                         f"({a['in_channels']} in, {a['out_channels']} out)")
-            elif g > 1 and a["in_channels"] != a["out_channels"]:
-                v.append(f"{comp.comp_id}: grouped conv requires equal in/out "
-                         f"channels, got {a['in_channels']} != {a['out_channels']}")
-    elif k == "batchnorm":
-        need("num_features")
-        if "eps" in a:
-            need("eps", lambda x: _is_real(x) and x > 0, "positive number")
-        if "momentum" in a:
-            need("momentum", lambda x: _is_real(x) and 0 <= x <= 1,
-                 "number in [0, 1]")
-    elif k == "activation":
-        need("channels")
-        if a.get("fn") not in ACTIVATIONS:
-            v.append(f"{comp.comp_id}: unknown activation {a.get('fn')!r}")
-    elif k == "pool":
-        need("channels")
-        need("kernel")
-        if a.get("op") not in ("avg", "max"):
-            v.append(f"{comp.comp_id}: unknown pool op {a.get('op')!r}")
-    elif k == "eltwise":
-        need("channels")
-        if a.get("op") not in ("add", "mul"):
-            v.append(f"{comp.comp_id}: unknown eltwise op {a.get('op')!r}")
-    elif k in ("concat", "split"):
-        sizes = a.get("sizes")
-        if (not isinstance(sizes, list) or not sizes
-                or any(not _is_int(s) or s <= 0 for s in sizes)):
-            v.append(f"{comp.comp_id}: sizes must be a non-empty list of positive ints")
-    elif k == "flatten":
-        need("channels")
-        need("spatial_size")
-    return v
+    for comp in ir.topo_order():
+        cid, spec = comp.comp_id, SPECS[comp.kind]
+        ins = [port_shape(ir.feed(cid, p))
+               for p in range(len(ir.ports(cid).ins))]
+        if spec.rank is not None and len(ins[0]) != spec.rank:
+            raise ShapeError(f"{cid}: {comp.kind} expects a rank-{spec.rank} "
+                             f"input per sample, got {ins[0]}")
+        if len({s[1:] for s in ins}) > 1:
+            raise ShapeError(f"{cid}: operand shapes differ beyond the "
+                             f"channel axis: {ins}")
+        shapes[cid] = spec.out_shape(comp, ins)
+    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +444,7 @@ def _check_attrs(comp: Component) -> list[str]:
 def init_weights(ir: NetworkIR, rng: np.random.Generator) -> NetworkIR:
     """He-style init for conv/linear, standard init for batchnorm."""
     for comp in ir.components:
-        for role, shape in param_shapes(comp).items():
+        for role, shape in SPECS[comp.kind].param_shapes(comp).items():
             name = comp.params[role]
             if role == "weight":
                 fan_in = int(np.prod(shape[1:]))
@@ -665,16 +498,16 @@ def save_model(ir: NetworkIR, path) -> None:
 
 
 def _is_count(x) -> bool:
-    return _is_int(x) and x >= 0
+    return is_int(x) and x >= 0
 
 
 # The descriptor's field types, by the phrase that names them in errors.
 _FIELD_TYPES = {
     "a string": lambda x: isinstance(x, str),
-    "an int": _is_int,
+    "an int": is_int,
     "a non-negative int": _is_count,
     "a list": lambda x: isinstance(x, list),
-    "a list of ints": lambda x: isinstance(x, list) and all(map(_is_int, x)),
+    "a list of ints": lambda x: isinstance(x, list) and all(map(is_int, x)),
     "a list of non-negative ints":
         lambda x: isinstance(x, list) and all(map(_is_count, x)),
     "an object": lambda x: isinstance(x, dict),

@@ -21,6 +21,7 @@ from .errors import ConfigError, PruneError
 from .grouping import Group, extract_groups
 from .importance import (PortGuard, default_topn, group_l2_importance,
                          relative_score, select_prune_indices)
+from .kinds import SPECS
 
 
 @dataclass
@@ -160,8 +161,7 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
     if touched:
         sets = []
         for cid, port in raw_ports:
-            comp = ir.component(cid)
-            off = _ir.input_port_offset(comp, port)
+            off = ir.ports(cid).ins[port][0]
             locs = half_removed.get(f"{cid}:in", [])
             sets.append({l - off for l in locs
                          if off <= l < off + ir.input_channels})
@@ -181,44 +181,10 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
     # rebuild components with updated channel attributes
     new_components = []
     for comp in ir.components:
-        a = dict(comp.attrs)
-        inr = half_removed.get(f"{comp.comp_id}:in", [])
-        outr = half_removed.get(f"{comp.comp_id}:out", [])
-        k = comp.kind
-        if k == "linear":
-            a["in_features"] -= len(inr)
-            a["out_features"] -= len(outr)
-        elif k == "conv2d":
-            if a["groups"] > 1:
-                if inr != outr:
-                    raise PruneError(f"{comp.comp_id}: grouped conv halves "
-                                     "pruned inconsistently")
-                block = _ir.conv_block_size(comp)
-                if len(outr) % block:
-                    raise PruneError(f"{comp.comp_id}: removal not aligned to "
-                                     f"channel groups of {block}")
-                a["groups"] -= len(outr) // block
-            a["in_channels"] -= len(inr)
-            a["out_channels"] -= len(outr)
-        elif k == "batchnorm":
-            a["num_features"] -= len(inr)
-        elif k in ("activation", "pool", "eltwise"):
-            a["channels"] -= len(inr)
-        elif k == "flatten":
-            a["channels"] -= len(inr)
-        elif k in ("concat", "split"):
-            sizes = list(a["sizes"])
-            removed = inr
-            lo = 0
-            for p, size in enumerate(list(sizes)):
-                hit = sum(1 for l in removed if lo <= l < lo + size)
-                sizes[p] = size - hit
-                lo += size
-            if any(s <= 0 for s in sizes):
-                raise PruneError(f"{comp.comp_id}: pruning empties a "
-                                 f"{k} port")
-            a["sizes"] = sizes
-        new_components.append(_ir.Component(comp.comp_id, comp.kind, a,
+        attrs = SPECS[comp.kind].shrink(
+            comp, half_removed.get(f"{comp.comp_id}:in", []),
+            half_removed.get(f"{comp.comp_id}:out", []))
+        new_components.append(_ir.Component(comp.comp_id, comp.kind, attrs,
                                             dict(comp.params)))
 
     input_shape = list(ir.input_shape)
@@ -263,10 +229,10 @@ def _group_scores(ir, group: Group, criterion: str, topn: int | None,
 
 
 def _seed_component_for(group: Group, ir) -> str | None:
-    """First conv/linear member component; the no-grouping criterion
-    scores a group by this single layer."""
+    """First member component with a weight (a conv or linear layer); the
+    no-grouping criterion scores a group by this single layer."""
     for m in sorted(group.members, key=lambda m: m.half_index):
-        if ir.component(m.half.component_id).kind in ("conv2d", "linear"):
+        if "weight" in ir.component(m.half.component_id).params:
             return m.half.component_id
     return None
 

@@ -46,13 +46,6 @@ def write_binary_matrix(path, corner: str, labels, matrix) -> None:
     pathlib.Path(path).write_text(text, newline="\n")
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    text = pathlib.Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
-
-
 def histogram(values, bins: int = 20, lo: float = 0.0, hi: float = 1.0):
     """Fixed-width histogram; returns (edges, counts) with counts summing
     to len(values). Values at or beyond hi land in the last bin."""

@@ -24,12 +24,12 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import engine, ir as _ir
+from . import engine
 from .errors import ConfigError, TrainingDiverged
-from .grouping import (Group, GroupMember, IndexTransform, selection_block,
-                       selection_units)
+from .grouping import Group, GroupMember, IndexTransform, selection_units
 from .importance import (GroupImportance, _scope_keep,
                          group_l2_importance, sq_norms)
+from .kinds import BUFFER_ROLES, SPECS
 
 STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
 
@@ -133,7 +133,7 @@ def _weighted_slices(ir, groups, gammas, scope: str):
     for group in groups:
         gamma = gammas[group.group_id].gamma
         for m, comp, role, name, axis in group.slices(ir):
-            if role not in _ir.BUFFER_ROLES and _scope_keep(comp, scope, None):
+            if role not in BUFFER_ROLES and _scope_keep(comp, scope, None):
                 yield name, axis, gamma[m.transform.canonical(m.half.channels)]
 
 
@@ -227,21 +227,20 @@ def regularizer_value(ir, groups, gammas, reg_weight: float,
 
 
 def layer_pseudo_groups(ir) -> list[Group]:
-    """One pseudo-group per parameterized layer: its output half alone.
+    """One pseudo-group per layer with a weight: its output half alone.
 
     This is the no-grouping ablation mode: sparsity is learned on each
     layer independently, ignoring coupled parameters elsewhere.
     """
     halves = ir.halves()
-    index = {h.node_id: i for i, h in enumerate(halves)}
     groups = []
-    for comp in ir.components:
-        if comp.kind not in ("linear", "conv2d"):
+    for i, comp in enumerate(ir.components):
+        if "weight" not in comp.params:
             continue
-        half = _ir.half_node(comp, "out")
-        member = GroupMember(half, index[half.node_id], IndexTransform())
+        half = halves[2 * i + 1]
+        member = GroupMember(half, 2 * i + 1, IndexTransform())
         width = half.channels
-        block = selection_block(comp)
+        block = SPECS[comp.kind].block(comp.attrs)
         units = selection_units(width, [(0, 1, width, block)] if block > 1 else [])
         groups.append(Group(f"layer:{comp.comp_id}", [member], width, units))
     return groups

@@ -22,14 +22,34 @@ or Group.slices.
 
 reference_sgd_step is the momentum step written out of place, one new
 array per momentum buffer and per weight.
+
+read_csv parses the CSV files the package writes, and
+trainable_param_names lists the tensors SGD trains.
 """
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 from scipy.signal import correlate2d
 
-from grouprune import ir as _ir
+BUFFER_ROLES = ("running_mean", "running_var")   # not trained by SGD
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV file the package wrote."""
+    text = pathlib.Path(path).read_text()
+    lines = [ln for ln in text.split("\n") if ln != ""]
+    header = lines[0].split(",")
+    return header, [ln.split(",") for ln in lines[1:]]
+
+
+def trainable_param_names(ir) -> list[str]:
+    """Every parameter tensor except batchnorm running statistics, in
+    component order and role order within a component."""
+    return [comp.params[role] for comp in ir.components
+            for role in sorted(comp.params) if role not in BUFFER_ROLES]
 
 
 def _component_inputs(ir, values, x, comp):
@@ -37,8 +57,9 @@ def _component_inputs(ir, values, x, comp):
     for e in ir.edges:
         feeds[(e.dst, e.dst_port)] = e
     raw = set(ir.input_consumers)
+    ports = sorted({p for c, p in list(feeds) + list(raw) if c == comp.comp_id})
     ins = []
-    for port in range(_ir.num_input_ports(comp)):
+    for port in ports:
         if (comp.comp_id, port) in raw:
             ins.append(x)
             continue
@@ -46,9 +67,9 @@ def _component_inputs(ir, values, x, comp):
         val = values[e.src]
         src = ir.component(e.src)
         if src.kind == "split":
-            lo = _ir.output_port_offset(src, e.src_port)
-            hi = lo + _ir.output_port_channels(src, e.src_port)
-            val = val[:, lo:hi]
+            sizes = src.attrs["sizes"]
+            lo = sum(sizes[:e.src_port])
+            val = val[:, lo:lo + sizes[e.src_port]]
         ins.append(val)
     return ins
 
@@ -274,8 +295,6 @@ def fd_param_grads(ir, x, labels, names=None, h: float = 1e-4,
                    mode: str = "train") -> dict[str, np.ndarray]:
     """Central finite differences of ref_loss w.r.t. every element of the
     named parameters (all trainable ones by default)."""
-    from grouprune.engine import trainable_param_names
-
     names = names if names is not None else trainable_param_names(ir)
     ir = as_float64(ir)
     grads = {}
@@ -297,8 +316,6 @@ def fd_param_grads(ir, x, labels, names=None, h: float = 1e-4,
 
 def fd_scalar(fn, ir, names=None, h: float = 1e-4) -> dict[str, np.ndarray]:
     """Central finite differences of an arbitrary scalar fn(ir)."""
-    from grouprune.engine import trainable_param_names
-
     names = names if names is not None else trainable_param_names(ir)
     ir = as_float64(ir)
     grads = {}
@@ -392,7 +409,7 @@ def _virtual_macs(ir, shapes, kept: dict[str, int]) -> int:
         elif comp.kind == "conv2d":
             _, oh, ow = shapes[comp.comp_id]
             if a["groups"] > 1:
-                cg = _ir.conv_block_size(comp)
+                cg = a["out_channels"] // a["groups"]
             else:
                 cg = kept[f"{comp.comp_id}:in"]
             total += cg * kept[f"{comp.comp_id}:out"] * a["kernel"] ** 2 * oh * ow
@@ -538,7 +555,7 @@ def reference_regularizer_coefficients(ir, groups, gammas, reg_weight: float,
             if scope == "conv" and comp.kind != "conv2d":
                 continue
             for sl in m.half.scheme.slices:
-                if sl.role in _ir.BUFFER_ROLES:
+                if sl.role in BUFFER_ROLES:
                     continue
                 name = comp.params[sl.role]
                 if (name, sl.axis, m.transform) in seen:

@@ -6,8 +6,8 @@ import pytest
 from grouprune import zoo
 from grouprune.cli import main
 from grouprune.ir import load_model, save_model
-from grouprune.reporting import read_csv
 import toy_models
+from reference import read_csv
 
 
 @pytest.fixture

@@ -4,15 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grouprune import ir as _ir, zoo
+from grouprune import zoo
 from grouprune.dependency import INTER, INTRA, build_depgraph, export_depgraph
 from grouprune.errors import GroupruneError
 from grouprune.ir import NetworkIR, batchnorm, conv2d, init_weights, linear
 from random_nets import random_ir
 import toy_models
-from grouprune.reporting import read_csv
 
-from reference import boolean_closure
+from reference import boolean_closure, read_csv
+
+
+def _scheme_equal(ir):
+    """Components whose two halves carry equal pruning schemes."""
+    halves = ir.halves()
+    return [c for i, c in enumerate(ir.components)
+            if halves[2 * i].scheme == halves[2 * i + 1].scheme]
 
 
 def test_two_layer_mlp_single_inter_edge():
@@ -22,7 +28,7 @@ def test_two_layer_mlp_single_inter_edge():
     assert d.count(INTRA) == 0
     a = d.index["fc1:out"]
     b = d.index["fc2:in"]
-    assert d.has_edge(a, b)
+    assert d.label(a, b) is not None
     assert d.label(a, b) == INTER
 
 
@@ -34,8 +40,8 @@ def test_conv_bn_inter_plus_bn_intra():
     assert d.count(INTER) == 1
     assert d.count(INTRA) == 1
     # the conv itself carries no intra edge: its halves' schemes diverge
-    assert not d.has_edge(d.index["c:in"], d.index["c:out"])
-    assert d.has_edge(d.index["bn:in"], d.index["bn:out"])
+    assert d.label(d.index["c:in"], d.index["c:out"]) is None
+    assert d.label(d.index["bn:in"], d.index["bn:out"]) == INTRA
 
 
 def test_residual_chain_reaches_whole_block():
@@ -59,10 +65,7 @@ def test_symmetry_and_edge_counts_on_random_irs():
         assert (m == m.T).all()
         distinct_pairs = {(f"{e.src}:out", f"{e.dst}:in") for e in ir.edges}
         assert d.count(INTER) == len(distinct_pairs)
-        expect_intra = sum(
-            1 for c in ir.components
-            if _ir.scheme_for(c, "in") == _ir.scheme_for(c, "out"))
-        assert d.count(INTRA) == expect_intra
+        assert d.count(INTRA) == len(_scheme_equal(ir))
 
 
 def test_edge_set_matches_rules_exactly():
@@ -74,10 +77,9 @@ def test_edge_set_matches_rules_exactly():
         for e in ir.edges:
             expected.add(frozenset((d.index[f"{e.src}:out"],
                                     d.index[f"{e.dst}:in"])))
-        for c in ir.components:
-            if _ir.scheme_for(c, "in") == _ir.scheme_for(c, "out"):
-                expected.add(frozenset((d.index[f"{c.comp_id}:in"],
-                                        d.index[f"{c.comp_id}:out"])))
+        for c in _scheme_equal(ir):
+            expected.add(frozenset((d.index[f"{c.comp_id}:in"],
+                                    d.index[f"{c.comp_id}:out"])))
         assert set(d.labels) == expected
 
 
@@ -146,9 +148,7 @@ def test_edges_store_their_index_steps():
                      - _port_offset(ir.component(e.src), e.src_port, "split"))
             expected[a].append((b, shift, 1))
             expected[b].append((a, -shift, 1))
-        for c in ir.components:
-            if _ir.scheme_for(c, "in") != _ir.scheme_for(c, "out"):
-                continue
+        for c in _scheme_equal(ir):
             a, b = d.index[f"{c.comp_id}:in"], d.index[f"{c.comp_id}:out"]
             s = c.attrs["spatial_size"] if c.kind == "flatten" else 1
             expected[a].append((b, 0, Fraction(1, s)))

