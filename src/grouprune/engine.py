@@ -6,7 +6,9 @@ topological order. Values are keyed per output port, (component id, port),
 and each input port reads the one value that `NetworkIR.feed` names. A
 value is dropped once its last reader has run (`NetworkIR.released_by`),
 so a forward holds only the values still to be read, plus whatever a
-train-mode backward context keeps.
+train-mode backward context keeps. A backward kernel is told which of its
+input ports need a gradient (`NetworkIR.needs_grad`): a port the network
+input feeds gets none, so no kernel computes a gradient nothing reads.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ def backward(tape: Tape, dout: np.ndarray) -> dict[str, np.ndarray]:
     for comp, ctx in reversed(tape.records):
         douts = [dvalues.pop((comp.comp_id, p))
                  for p in range(len(ir.ports(comp.comp_id).outs))]
-        dins, dparams = SPECS[comp.kind].backward(comp, ctx, ir.weights, *douts)
+        need = ir.needs_grad(comp.comp_id)
+        dins, dparams = SPECS[comp.kind].backward(comp, ctx, ir.weights, need,
+                                                  *douts)
         for role, g in dparams.items():
             name = comp.params[role]
             if name in grads:
@@ -90,9 +94,9 @@ def backward(tape: Tape, dout: np.ndarray) -> dict[str, np.ndarray]:
             else:
                 grads[name] = g
         for port, din in enumerate(dins):
-            e = ir.feed(comp.comp_id, port)
-            if e is None:
+            if not need[port]:
                 continue
+            e = ir.feed(comp.comp_id, port)
             key = (e.src, e.src_port)
             dvalues[key] = dvalues[key] + din if key in dvalues else din
     return grads

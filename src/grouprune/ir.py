@@ -171,10 +171,11 @@ class NetworkIR:
 
     The topology (components, edges, input consumers) is immutable after
     construction: consumers and input ports are indexed once here, and the
-    exit component, topological order, port windows, half nodes and each
-    value's last reader are computed on first use and then reused. Only
-    the weight store may change. `feed(comp_id, port)` answers which
-    producer port feeds an input port.
+    exit component, topological order, port windows, half nodes, each
+    value's last reader and the input ports that need a gradient are
+    computed on first use and then reused. Only the weight store may
+    change. `feed(comp_id, port)` answers which producer port feeds an
+    input port.
     """
 
     def __init__(self, components, edges, input_shape, input_consumers,
@@ -202,6 +203,7 @@ class NetworkIR:
         self._ports: dict[str, Ports] | None = None
         self._halves: list[HalfNode] | None = None
         self._released: dict[str, list[tuple[str, int]]] | None = None
+        self._needs_grad: dict[str, list[bool]] | None = None
 
     # -- lookups ----------------------------------------------------------
 
@@ -258,6 +260,16 @@ class NetworkIR:
                                key=pos.__getitem__)
                     self._released[last].append((src, port))
         return self._released[comp_id]
+
+    def needs_grad(self, comp_id: str) -> list[bool]:
+        """Per input port of comp_id, whether a backward pass needs its
+        gradient: False for a port the raw network input feeds."""
+        if self._needs_grad is None:
+            self._needs_grad = {
+                c.comp_id: [self.feed(c.comp_id, p) is not None
+                            for p in range(len(self.ports(c.comp_id).ins))]
+                for c in self.components}
+        return self._needs_grad[comp_id]
 
     def exit_component(self) -> Component:
         if self._exit is None:

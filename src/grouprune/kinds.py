@@ -14,17 +14,21 @@ in_axis; None slices nothing. A kind whose halves are tied (a grouped
 convolution) slices its out axes on both halves, so both carry one scheme.
 
 A forward kernel takes one array per input port and returns one per output
-port plus a backward context; backward takes one gradient per output port
-and returns one per input port plus {role: parameter gradient}. Arrays are
-float32, NCHW for images and (N, F) after flatten. Split returns the
-np.split views of its port windows.
+port plus a backward context; backward takes, per input port, whether it
+needs a gradient, then one gradient per output port, and returns one per
+input port (None where none is needed; only conv2d and linear skip the
+work) plus {role: parameter gradient}. Arrays are float32, NCHW for images
+and (N, F) after flatten. Split returns the np.split views of its port
+windows.
 
-A convolution is three batched matmuls over the (N, G, C/G*k*k, OH*OW)
-patch array that _im2col builds: the output is weight @ patches, the patch
-gradient is weight^T @ output gradient (gathered back into the input by
-_col2im), and the weight gradient is output gradient @ patches^T summed
-over the batch. One code path serves every kernel, stride, padding and
-group count.
+A convolution is three batched matmuls, each over a patch array that
+_im2col gathers. The output is weight @ patches of the padded input, and
+the weight gradient is output gradient @ those patches^T, summed over the
+batch. The input gradient is the flipped kernel, in/out axes swapped per
+group, @ patches of the output gradient, dilated by the stride and padded
+by k-1-p: a correlation, so every step is a gather and none is a
+scatter-add. One code path serves every kernel, stride, padding and group
+count.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ class KindSpec:
     out_ports: Callable         # a -> port windows of the output half
     shrink: Callable            # (comp, in removed, out removed) -> new attrs
     forward: Callable           # (comp, ins, weights, mode) -> (outs, ctx)
-    backward: Callable          # (comp, ctx, weights, *douts) -> (dins, grads)
+    backward: Callable          # (comp, ctx, weights, need, *douts) -> (dins, grads)
     roles: dict[str, Role] = field(default_factory=dict)
     tied: Callable = lambda a: False   # the input half slices the out axes
     block: Callable = lambda a: 1      # local indices selected together
@@ -260,13 +264,13 @@ def _fwd_linear(comp, ins, weights, mode):
     return [out], {"x": x}
 
 
-def _bwd_linear(comp, ctx, weights, dout):
-    w = weights[comp.params["weight"]]
-    x = ctx["x"]
-    dparams = {"weight": dout.T @ x}
+def _bwd_linear(comp, ctx, weights, need, dout):
+    dparams = {"weight": dout.T @ ctx["x"]}
     if "bias" in comp.params:
         dparams["bias"] = dout.sum(axis=0)
-    return [dout @ w], dparams
+    if not need[0]:
+        return [None], dparams
+    return [dout @ weights[comp.params["weight"]]], dparams
 
 
 def _conv_geometry(comp, x):
@@ -284,44 +288,41 @@ def _conv_geometry(comp, x):
     return k, s, p, oh, ow
 
 
-def _im2col(x, k, s, p, oh, ow):
-    """Patches of x as an (N, C, k, k, OH, OW) array: cols[n, c, i, j, a, b]
-    is the zero-padded input at row i + s*a, column j + s*b. Viewed as
-    (N, G, C/G*k*k, OH*OW) it is the right operand of the forward matmul,
-    w (G, OC/G, C/G*k*k) @ cols, and, transposed, of the weight gradient's,
-    dout @ cols^T summed over N.
-
-    Two passes over a zero-filled padded copy of x: k column-shift copies
-    fill an (N, C, k, H+2p, OW) row buffer, then k row-shift copies fill
-    cols, so each copy runs over whole rows (over OH*OW at stride 1), not
-    k*k copies over OW alone.
-    """
+def _padded(x, top, left, height, width, s=1):
+    """A zero (N, C, height, width) array holding x at stride s from row
+    top and column left; rows and columns that fall outside are cut off.
+    With s = 1 it is x zero-padded (or cropped) by top, left and whatever
+    height and width leave at the far edges."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
-    xp[:, :, p:p + h, p:p + w] = x
-    rows = np.empty((n, c, k, h + 2 * p, ow), dtype=np.float32)
+    out = np.zeros((n, c, height, width), dtype=np.float32)
+    r0, c0 = -(min(top, 0) // s), -(min(left, 0) // s)   # first rows kept
+    r1 = min(h, -(-(height - top) // s))
+    c1 = min(w, -(-(width - left) // s))
+    out[:, :, top + s * r0::s, left + s * c0::s][:, :, :r1 - r0, :c1 - c0] = \
+        x[:, :, r0:r1, c0:c1]
+    return out
+
+
+def _im2col(xp, k, s, oh, ow):
+    """Patches of the padded input xp as an (N, C, k, k, OH, OW) array:
+    cols[n, c, i, j, a, b] = xp[n, c, i + s*a, j + s*b]. Viewed as
+    (N, G, C/G*k*k, OH*OW) it is the right operand of all three conv
+    matmuls: the forward's and, transposed, the weight gradient's over
+    the padded input, and the input gradient's over the padded, dilated
+    output gradient.
+
+    Two passes: k column-shift copies fill an (N, C, k, Hp, OW) row
+    buffer, then k row-shift copies fill cols, so each copy runs over
+    whole rows (over OH*OW at stride 1), not k*k copies over OW alone.
+    """
+    n, c, hp, _ = xp.shape
+    rows = np.empty((n, c, k, hp, ow), dtype=np.float32)
     for j in range(k):
         rows[:, :, j] = xp[:, :, :, j:j + s * ow:s]
     cols = np.empty((n, c, k, k, oh, ow), dtype=np.float32)
     for i in range(k):
         cols[:, :, i] = rows[:, :, :, i:i + s * oh:s]
     return cols
-
-
-def _col2im(dcols, x_shape, k, s, p, oh, ow):
-    """Gradient of x from the gradient of its patches, the reverse of
-    _im2col. dcols has _im2col's (N, C, k, k, OH, OW) layout and is the
-    backward matmul w^T @ dout. k row-shift adds gather it into an
-    (N, C, k, H+2p, OW) row buffer, k column-shift adds gather that into
-    the zero-filled padded input, and the padding is cut off."""
-    n, c, h, w = x_shape
-    drows = np.zeros((n, c, k, h + 2 * p, ow), dtype=np.float32)
-    for i in range(k):
-        drows[:, :, :, i:i + s * oh:s] += dcols[:, :, i]
-    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
-    for j in range(k):
-        dxp[:, :, :, j:j + s * ow:s] += drows[:, :, j]
-    return dxp[:, :, p:p + h, p:p + w]
 
 
 def _fwd_conv2d(comp, ins, weights, mode):
@@ -332,32 +333,42 @@ def _fwd_conv2d(comp, ins, weights, mode):
     k, s, p, oh, ow = _conv_geometry(comp, x)
     g = a["groups"]
     cg, ocg = a["in_channels"] // g, a["out_channels"] // g
-    n = x.shape[0]
-    cols = _im2col(x, k, s, p, oh, ow)                      # (N,C,k,k,OH,OW)
-    cols_g = cols.reshape(n, g, cg * k * k, oh * ow)
-    w = weights[comp.params["weight"]].reshape(g, ocg, cg * k * k)
-    out = np.matmul(w, cols_g).reshape(n, a["out_channels"], oh, ow)
+    n, _, h, w = x.shape
+    xp = _padded(x, p, p, h + 2 * p, w + 2 * p)
+    cols_g = _im2col(xp, k, s, oh, ow).reshape(n, g, cg * k * k, oh * ow)
+    wt = weights[comp.params["weight"]].reshape(g, ocg, cg * k * k)
+    out = np.matmul(wt, cols_g).reshape(n, a["out_channels"], oh, ow)
     if "bias" in comp.params:
         out = out + weights[comp.params["bias"]].reshape(1, -1, 1, 1)
     return [out], {"cols_g": cols_g, "x_shape": x.shape, "geom": (k, s, p, oh, ow)}
 
 
-def _bwd_conv2d(comp, ctx, weights, dout):
+def _bwd_conv2d(comp, ctx, weights, need, dout):
+    """The input gradient is a correlation of the output gradient with the
+    flipped kernel, in/out axes swapped per group: dout is dilated by the
+    stride and padded by k-1-p (cropped where p > k-1), with zero rows at
+    the far edge for the stride remainder, then gathered by _im2col at
+    stride 1 into an (N, OC, k, k, H, W) patch array."""
     a = comp.attrs
     g = a["groups"]
     cg, ocg = a["in_channels"] // g, a["out_channels"] // g
     k, s, p, oh, ow = ctx["geom"]
     n = dout.shape[0]
     dout_g = dout.reshape(n, g, ocg, oh * ow)
-    cols_g = ctx["cols_g"]
-    w = weights[comp.params["weight"]].reshape(g, ocg, cg * k * k)
-    dw = np.matmul(dout_g, cols_g.swapaxes(-1, -2)).sum(axis=0)
-    dparams = {"weight": dw.reshape(a["out_channels"], cg, k, k)}
+    # patches @ dout^T: numpy runs it about twice as fast as dout @ patches^T
+    dwt = np.matmul(ctx["cols_g"], dout_g.swapaxes(-1, -2)).sum(axis=0)
+    dparams = {"weight": dwt.swapaxes(-1, -2).reshape(a["out_channels"], cg, k, k)}
     if "bias" in comp.params:
-        dparams["bias"] = dout.sum(axis=(0, 2, 3))
-    dcols = np.matmul(w.swapaxes(-1, -2), dout_g)
-    dx = _col2im(dcols.reshape(n, a["in_channels"], k, k, oh, ow),
-                 ctx["x_shape"], k, s, p, oh, ow)
+        dparams["bias"] = dout.reshape(n, -1, oh * ow).sum(axis=0).sum(axis=1)
+    if not need[0]:
+        return [None], dparams
+    _, _, h, w = ctx["x_shape"]
+    e = k - 1 - p
+    dpad = _padded(dout, e, e, h + k - 1, w + k - 1, s)
+    cols_g = _im2col(dpad, k, 1, h, w).reshape(n, g, ocg * k * k, h * w)
+    wt = weights[comp.params["weight"]].reshape(g, ocg, cg, k, k)
+    wflip = wt[..., ::-1, ::-1].swapaxes(1, 2).reshape(g, cg, ocg * k * k)
+    dx = np.matmul(wflip, cols_g).reshape(n, a["in_channels"], h, w)
     return [dx], dparams
 
 
@@ -384,27 +395,34 @@ def _fwd_batchnorm(comp, ins, weights, mode):
         mu = weights[comp.params["running_mean"]]
         var = weights[comp.params["running_var"]]
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - _per_channel(mu, x.ndim)) * _per_channel(istd, x.ndim)
-    out = xhat * _per_channel(gamma, x.ndim) + _per_channel(beta, x.ndim)
-    return [out.astype(np.float32)], {"xhat": xhat, "istd": istd, "axes": axes,
-                                      "mode": mode, "n": x.size // c}
+    xhat = x - _per_channel(mu, x.ndim)
+    xhat *= _per_channel(istd, x.ndim)
+    out = xhat * _per_channel(gamma, x.ndim)
+    out += _per_channel(beta, x.ndim)
+    return [out], {"xhat": xhat, "istd": istd, "axes": axes, "mode": mode,
+                   "n": x.size // c}
 
 
-def _bwd_batchnorm(comp, ctx, weights, dout):
+def _bwd_batchnorm(comp, ctx, weights, need, dout):
     gamma = weights[comp.params["gamma"]]
     xhat, istd, axes = ctx["xhat"], ctx["istd"], ctx["axes"]
-    dgamma = (dout * xhat).sum(axis=axes)
+    prod = dout * xhat
+    dgamma = prod.sum(axis=axes)
     dbeta = dout.sum(axis=axes)
-    dxhat = dout * _per_channel(gamma, dout.ndim)
+    dx = dout * _per_channel(gamma, dout.ndim)     # dxhat until scaled
     if ctx["mode"] == "train":
+        # dx = istd / n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
         n = ctx["n"]
-        term = (n * dxhat
-                - dxhat.sum(axis=axes, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-        dx = _per_channel(istd, dout.ndim) / n * term
+        dsum = dx.sum(axis=axes, keepdims=True)
+        np.multiply(dx, xhat, out=prod)
+        np.multiply(xhat, prod.sum(axis=axes, keepdims=True), out=prod)
+        dx *= n
+        dx -= dsum
+        dx -= prod
+        dx *= _per_channel(istd, dout.ndim) / n
     else:
-        dx = dxhat * _per_channel(istd, dout.ndim)
-    return [dx.astype(np.float32)], {"gamma": dgamma, "beta": dbeta}
+        dx *= _per_channel(istd, dout.ndim)
+    return [dx], {"gamma": dgamma, "beta": dbeta}
 
 
 def _fwd_activation(comp, ins, weights, mode):
@@ -419,7 +437,7 @@ def _fwd_activation(comp, ins, weights, mode):
     return [x], {}
 
 
-def _bwd_activation(comp, ctx, weights, dout):
+def _bwd_activation(comp, ctx, weights, need, dout):
     fn = comp.attrs["fn"]
     if fn == "relu":
         return [dout * ctx["mask"]], {}
@@ -446,7 +464,7 @@ def _fwd_pool(comp, ins, weights, mode):
     return [out], {"arg": arg, "x_shape": x.shape}
 
 
-def _bwd_pool(comp, ctx, weights, dout):
+def _bwd_pool(comp, ctx, weights, need, dout):
     k = comp.attrs["kernel"]
     n, c, h, w = ctx["x_shape"]
     if comp.attrs["op"] == "avg":
@@ -469,7 +487,7 @@ def _fwd_eltwise(comp, ins, weights, mode):
     return [a * b], {"a": a, "b": b}
 
 
-def _bwd_eltwise(comp, ctx, weights, dout):
+def _bwd_eltwise(comp, ctx, weights, need, dout):
     if comp.attrs["op"] == "add":
         return [dout, dout], {}
     return [dout * ctx["b"], dout * ctx["a"]], {}
@@ -484,7 +502,7 @@ def _fwd_concat(comp, ins, weights, mode):
     return [np.concatenate(ins, axis=1)], {"sizes": sizes}
 
 
-def _bwd_concat(comp, ctx, weights, dout):
+def _bwd_concat(comp, ctx, weights, need, dout):
     return np.split(dout, np.cumsum(ctx["sizes"])[:-1], axis=1), {}
 
 
@@ -497,7 +515,7 @@ def _fwd_split(comp, ins, weights, mode):
     return np.split(x, np.cumsum(sizes)[:-1], axis=1), {}
 
 
-def _bwd_split(comp, ctx, weights, *douts):
+def _bwd_split(comp, ctx, weights, need, *douts):
     return [np.concatenate(douts, axis=1)], {}
 
 
@@ -513,7 +531,7 @@ def _fwd_flatten(comp, ins, weights, mode):
     return [x.reshape(n, c * h * w)], {"x_shape": x.shape}
 
 
-def _bwd_flatten(comp, ctx, weights, dout):
+def _bwd_flatten(comp, ctx, weights, need, dout):
     return [dout.reshape(ctx["x_shape"])], {}
 
 

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import engine
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, ShapeError, TrainingDiverged
 from .grouping import Group, GroupMember, IndexTransform, selection_units
 from .importance import (GroupImportance, _scope_keep,
                          group_l2_importance, sq_norms)
@@ -275,9 +275,12 @@ def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group],
 
     Returns the sparsity trace: per epoch, (group id, canonical index,
     importance) for every trace group. Raises TrainingDiverged with the
-    partial trace if the loss goes non-finite.
+    partial trace if the loss goes non-finite, and ShapeError before the
+    first step if the network has fewer outputs than the labels have
+    classes.
     """
     x_all, y_all = dataset
+    classes = int(y_all.max()) + 1
     rng = np.random.default_rng(cfg.seed)
     reg_groups, scope = sparsity_groups(ir, groups, cfg.strategy)
     if trace_groups is None:
@@ -293,6 +296,9 @@ def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group],
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             logits, tape = engine.forward(ir, x_all[idx], mode="train")
+            if logits.shape[1] < classes:
+                raise ShapeError(f"the network has {logits.shape[1]} outputs "
+                                 f"but the data has {classes} classes")
             loss, dlogits = engine.softmax_cross_entropy(logits, y_all[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(

@@ -23,6 +23,14 @@ or Group.slices.
 reference_sgd_step is the momentum step written out of place, one new
 array per momentum buffer and per weight.
 
+scalar_conv2d_input_grad is the input gradient of a convolution as the
+literal transpose of _scalar_conv2d: each output gradient entry scattered
+back onto the padded input it read, in float64.
+
+reference_batchnorm_forward and reference_batchnorm_backward are the
+batchnorm kernels written out of place, one new float32 array per step,
+followed by a float32 copy; the in-place kernels must match their bytes.
+
 read_csv parses the CSV files the package writes, and
 trainable_param_names lists the tensors SGD trains.
 """
@@ -120,6 +128,27 @@ def _scalar_conv2d(comp, x, weights):
                                         * float(w[oc, ic, ki, kj]))
                     out[sample, oc, i, j] = acc
     return out
+
+
+def scalar_conv2d_input_grad(comp, weights, x_shape, dout) -> np.ndarray:
+    """d(sum(out * dout)) / dx of one convolution, by scattering every
+    output gradient entry onto the padded input window it was read from."""
+    a = comp.attrs
+    w = weights[comp.params["weight"]].astype(np.float64)
+    k, s, p, g = a["kernel"], a["stride"], a["padding"], a["groups"]
+    n, c, h, wid = x_shape
+    cg, ocg = c // g, a["out_channels"] // g
+    _, _, oh, ow = dout.shape
+    dxp = np.zeros((n, c, h + 2 * p, wid + 2 * p))
+    for oc in range(a["out_channels"]):
+        chans = slice(oc // ocg * cg, oc // ocg * cg + cg)
+        for i in range(oh):
+            for j in range(ow):
+                for ki in range(k):
+                    for kj in range(k):
+                        dxp[:, chans, i * s + ki, j * s + kj] += (
+                            dout[:, oc, i, j, None] * w[oc, :, ki, kj])
+    return dxp[:, :, p:p + h, p:p + wid]
 
 
 def _scalar_batchnorm(comp, x, weights, mode):
@@ -599,3 +628,53 @@ def reference_sgd_step(ir, grads, state, lr: float, momentum: float) -> None:
         v = momentum * state.get(name, np.zeros_like(g)) + g
         state[name] = v
         ir.weights[name] = (ir.weights[name] - lr * v).astype(np.float32)
+
+
+def _bn_channel(arr, ndim):
+    return arr.reshape(1, -1, 1, 1) if ndim == 4 else arr.reshape(1, -1)
+
+
+def reference_batchnorm_forward(comp, x, weights, mode):
+    """Batchnorm forward, out of place; updates the running statistics in
+    train mode. Returns (out, backward context)."""
+    a = comp.attrs
+    c = a["num_features"]
+    eps = a.get("eps", 1e-5)
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    gamma = weights[comp.params["gamma"]]
+    beta = weights[comp.params["beta"]]
+    if mode == "train":
+        mu = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        n_stat = x.size // c
+        mom = a.get("momentum", 0.1)
+        rm, rv = comp.params["running_mean"], comp.params["running_var"]
+        unbiased = var * n_stat / max(n_stat - 1, 1)
+        weights[rm] = ((1 - mom) * weights[rm] + mom * mu).astype(np.float32)
+        weights[rv] = ((1 - mom) * weights[rv] + mom * unbiased).astype(np.float32)
+    else:
+        mu = weights[comp.params["running_mean"]]
+        var = weights[comp.params["running_var"]]
+    istd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - _bn_channel(mu, x.ndim)) * _bn_channel(istd, x.ndim)
+    out = xhat * _bn_channel(gamma, x.ndim) + _bn_channel(beta, x.ndim)
+    return out.astype(np.float32), {"xhat": xhat, "istd": istd, "axes": axes,
+                                    "mode": mode, "n": x.size // c}
+
+
+def reference_batchnorm_backward(comp, ctx, weights, dout):
+    """Batchnorm backward, out of place: (dx, dgamma, dbeta)."""
+    gamma = weights[comp.params["gamma"]]
+    xhat, istd, axes = ctx["xhat"], ctx["istd"], ctx["axes"]
+    dgamma = (dout * xhat).sum(axis=axes)
+    dbeta = dout.sum(axis=axes)
+    dxhat = dout * _bn_channel(gamma, dout.ndim)
+    if ctx["mode"] == "train":
+        n = ctx["n"]
+        term = (n * dxhat
+                - dxhat.sum(axis=axes, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+        dx = _bn_channel(istd, dout.ndim) / n * term
+    else:
+        dx = dxhat * _bn_channel(istd, dout.ndim)
+    return dx.astype(np.float32), dgamma, dbeta

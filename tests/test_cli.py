@@ -5,8 +5,10 @@ import pytest
 
 from grouprune import zoo
 from grouprune.cli import main
+from grouprune.data import DATASETS
 from grouprune.ir import load_model, save_model
 import toy_models
+from random_nets import random_ir
 from reference import read_csv
 
 
@@ -333,15 +335,42 @@ def test_train_unknown_dataset_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("model, data", [("residual_cnn", "spiral"),
-                                         ("spiral_mlp", "shapes")])
-def test_train_on_data_that_does_not_fit_exits_2(model, data, tmp_path, capsys):
+MODELS = {**toy_models.BUNDLED, "random_ir_8": lambda: random_ir(8)}
+
+
+@pytest.mark.parametrize("model, data, message", [
+    pytest.param("residual_cnn", "spiral", "does not match declared",
+                 id="residual_cnn-spiral"),
+    pytest.param("spiral_mlp", "shapes", "does not match declared",
+                 id="spiral_mlp-shapes"),
+    # 3 outputs against the 4 shape classes
+    pytest.param("random_ir_8", "shapes", "has 3 outputs but the data has 4 "
+                 "classes", id="random_ir_8-shapes"),
+])
+def test_train_on_data_that_does_not_fit_exits_2(model, data, message,
+                                                 tmp_path, capsys):
     path = tmp_path / "model.json"
-    save_model(toy_models.BUNDLED[model](), path)
+    save_model(MODELS[model](), path)
     rc = main(["train", "--model", str(path), "--data", data,
                "--out", str(tmp_path / "o"), "--epochs", "1"])
     assert rc == 2
-    assert "does not match declared" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_train_random_ir_exits_0_or_2(seed, tmp_path, capsys):
+    ir = random_ir(seed)
+    fits = [name for name, make in DATASETS.items()
+            if make(seed=0)[0].shape[1:] == ir.input_shape]
+    path = tmp_path / "model.json"
+    save_model(ir, path)
+    for data in fits:
+        rc = main(["train", "--model", str(path), "--data", data,
+                   "--out", str(tmp_path / data), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (data, err)
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_ablate_unknown_strategy_exits_2(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,8 +12,11 @@ from grouprune.ir import (NetworkIR, activation, batchnorm, conv2d, eltwise,
 from random_nets import random_ir
 import toy_models
 
-from reference import (fd_param_grads, grad_rel_err, ref_forward, rel_err,
-                       scalar_forward)
+from grouprune.kinds import SPECS
+from reference import (fd_param_grads, grad_rel_err, ref_forward,
+                       reference_batchnorm_backward, reference_batchnorm_forward,
+                       rel_err, scalar_conv2d_input_grad, scalar_forward,
+                       trainable_param_names)
 
 
 def _net(comps, edges, input_shape, consumers, seed=0):
@@ -276,6 +281,79 @@ def test_conv_geometry_matches_oracles(first, second, h, w):
     for name, g in grads.items():
         assert g.shape == ir.weights[name].shape, name
         assert grad_rel_err(g, fd[name]) < 1e-3, name
+
+
+@pytest.mark.parametrize("kernel, stride, padding",
+                         list(itertools.product((1, 3, 5), (1, 2, 3), (0, 1, 2))))
+def test_conv_input_gradient_matches_scalar_reference(kernel, stride, padding):
+    # The engine never asks for the gradient of a conv the network input
+    # feeds, so the kernel is called directly. 7 x 6 leaves a stride
+    # remainder at strides 2 and 3; kernel 1 with padding 1 or 2 is the
+    # p > k - 1 case, where the padded output gradient is cropped.
+    h, w = 7, 6
+    rng = np.random.default_rng(100 * kernel + 10 * stride + padding)
+    for c_in, c_out, groups in ((3, 5, 1), (4, 4, 2), (4, 4, 4)):
+        comp = conv2d("c", c_in, c_out, kernel=kernel, stride=stride,
+                      padding=padding, groups=groups)
+        ir = _net([comp], [], (c_in, h, w), [("c", 0)], seed=kernel + groups)
+        x = rng.normal(size=(2, c_in, h, w)).astype(np.float32)
+        spec = SPECS["conv2d"]
+        (out,), ctx = spec.forward(comp, [x], ir.weights, "train")
+        dout = rng.normal(size=out.shape).astype(np.float32)
+        (dx,), _grads = spec.backward(comp, ctx, ir.weights, [True], dout)
+        want = scalar_conv2d_input_grad(comp, ir.weights, x.shape, dout)
+        assert dx.dtype == np.float32 and dx.shape == x.shape
+        # float32 sums of up to 125 terms: error relative to the largest entry
+        assert np.abs(dx - want).max() < 1e-5 * np.abs(want).max(), groups
+
+
+def test_backward_skips_gradient_of_network_input(monkeypatch):
+    # stem reads the network input, so its input gradient is never built;
+    # conv1 and conv2 read other components and get theirs.
+    built = {}
+    spec = SPECS["conv2d"]
+
+    def recording(comp, *args):
+        dins, dparams = spec.backward(comp, *args)
+        built[comp.comp_id] = dins[0] is not None
+        return dins, dparams
+
+    monkeypatch.setitem(SPECS, "conv2d",
+                        dataclasses.replace(spec, backward=recording))
+    ir = zoo.residual_cnn()
+    x = np.random.default_rng(0).normal(size=(2,) + ir.input_shape)
+    y, tape = engine.forward(ir, x, mode="train")
+    grads = engine.backward(tape, np.ones_like(y))
+    assert built == {"stem": False, "conv1": True, "conv2": True}
+    assert sorted(grads) == sorted(trainable_param_names(ir))
+    assert all(grads[name].shape == ir.weights[name].shape for name in grads)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(5, 3), (64, 16), (3, 5, 3, 3), (7, 16, 4, 4)])
+def test_batchnorm_matches_reference_bytes(shape, mode):
+    rng = np.random.default_rng(sum(shape))
+    c = shape[1]
+    ir = _net([batchnorm("bn", c)], [], shape[1:], [("bn", 0)])
+    for role in ("gamma", "beta", "running_mean"):
+        ir.weights[f"bn.{role}"] = rng.normal(size=c).astype(np.float32)
+    ir.weights["bn.running_var"] = rng.uniform(0.5, 2, c).astype(np.float32)
+    want = dict(ir.weights)
+    comp = ir.component("bn")
+    x = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
+    dout = rng.normal(size=shape).astype(np.float32)
+    spec = SPECS["batchnorm"]
+    (out,), ctx = spec.forward(comp, [x], ir.weights, mode)
+    (dx,), grads = spec.backward(comp, ctx, ir.weights, [True], dout)
+    want_out, want_ctx = reference_batchnorm_forward(comp, x, want, mode)
+    want_dx, want_dgamma, want_dbeta = reference_batchnorm_backward(
+        comp, want_ctx, want, dout)
+    for got, ref in ((out, want_out), (dx, want_dx),
+                     (grads["gamma"], want_dgamma), (grads["beta"], want_dbeta),
+                     (ir.weights["bn.running_mean"], want["bn.running_mean"]),
+                     (ir.weights["bn.running_var"], want["bn.running_var"])):
+        assert got.dtype == ref.dtype == np.float32
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 # -- batchnorm statistics ----------------------------------------------------
