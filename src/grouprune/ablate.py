@@ -1,9 +1,12 @@
 """Grouping-strategy ablation harness.
 
-One cell = (strategy, target speedup, sparsity mode, seed): sparse-train a
-fresh toy model under the strategy, prune it to the target speedup with
-uniform or learned layer sparsity, fine-tune briefly, and report test
-accuracy. The harness drives every stochastic choice from the cell seed.
+One cell = (strategy, target speedup, sparsity mode, seed): prune a toy
+model sparse-trained under the strategy to the target speedup with uniform
+or learned layer sparsity, fine-tune briefly, and report test accuracy.
+Training reads only the dataset, strategy, seed and config, so the grid
+trains one model per (strategy, seed) and every (target, mode) cell of it
+starts from that model. The harness drives every stochastic choice from
+the cell seed.
 """
 
 from __future__ import annotations
@@ -74,20 +77,30 @@ def _uniform_ratio_for_speedup(ir, groups, target: float, strategy, rng):
     return hi
 
 
-def run_cell(dataset: str, strategy: str, target_speedup: float, mode: str,
-             seed: int, cfg: SparseConfig) -> AblationCell:
-    """Train, prune and fine-tune one cell. The "random" strategy trains
+def train_cell_model(dataset: str, strategy: str, seed: int,
+                     cfg: SparseConfig):
+    """Build the data and model of a seed and sparse-train the model under
+    the strategy; returns (ir, groups, data). The "random" strategy trains
     without a regularizer (sparse.sparsity_groups gives it no groups);
     training changes weights only, so the groups extracted up front serve
     planning and pruning too."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    (x_tr, y_tr), (x_te, y_te) = make_data(dataset, seed)
+    data = make_data(dataset, seed)
     ir = make_model(dataset, seed)
     groups = extract_groups(build_depgraph(ir))
-    ir, _trace = train_sparse(ir, (x_tr, y_tr),
+    ir, _trace = train_sparse(ir, data[0],
                               replace(cfg, seed=seed, strategy=strategy), groups)
+    return ir, groups, data
 
+
+def run_cell(trained, strategy: str, target_speedup: float, mode: str,
+             seed: int, cfg: SparseConfig) -> AblationCell:
+    """Prune and fine-tune one cell, starting from trained, the (ir, groups,
+    data) that train_cell_model returned for the cell's strategy and seed.
+    The trained IR is only read: prune copies every tensor it keeps, and
+    the fine-tune trains that copy."""
+    ir, groups, ((x_tr, y_tr), (x_te, y_te)) = trained
     rng = np.random.default_rng(seed + 1)
     if mode == "uniform":
         ratio = _uniform_ratio_for_speedup(ir, groups, target_speedup,
@@ -113,14 +126,22 @@ def run_cell(dataset: str, strategy: str, target_speedup: float, mode: str,
 def run_ablation(dataset: str, strategies, target_speedups, modes, seeds,
                  cfg: SparseConfig):
     """Full grid; returns {(strategy, f"{speedup}x/{mode}"): median accuracy}
-    plus the raw per-cell results."""
+    plus the raw per-cell results, in strategy, target, mode, seed order.
+
+    Each (strategy, seed) model is trained once, on its first cell, and
+    every cell of that strategy and seed starts from it; the models of one
+    strategy are dropped when the next strategy begins."""
     cells = []
     for strategy in strategies:
+        trained = {}
         for target in target_speedups:
             for mode in modes:
                 for seed in seeds:
-                    cells.append(run_cell(dataset, strategy, target, mode,
-                                          seed, cfg))
+                    if seed not in trained:
+                        trained[seed] = train_cell_model(dataset, strategy,
+                                                         seed, cfg)
+                    cells.append(run_cell(trained[seed], strategy, target,
+                                          mode, seed, cfg))
     table = {}
     for strategy in strategies:
         for target in target_speedups:

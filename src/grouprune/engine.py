@@ -19,6 +19,8 @@ from .errors import ShapeError
 from .ir import infer_shapes
 from .kinds import SPECS
 
+_CHUNK = 1 << 16   # elements per block of an in-place update (256 KiB float32)
+
 
 class Tape:
     """Backward-pass record of one train-mode forward. Single use."""
@@ -157,15 +159,24 @@ def sgd_step(ir, grads, state, lr: float, momentum: float = 0.9) -> None:
     A caller that keeps a weight array across a step sees it change, so
     snapshot with .copy(). A weight that is not a writable float32 array
     is replaced by a new float32 array holding the same update.
+
+    v *= momentum; v += g; w -= lr * v runs block by block along axis 0,
+    so lr * v fills one block-sized temporary, not a full-size one.
     """
     for name, g in grads.items():
         v = state.get(name)
         if v is None:
             v = state[name] = np.zeros_like(g)
-        v *= momentum
-        v += g
         w = ir.weights[name]
-        if w.dtype == np.float32 and w.flags.writeable:
-            w -= lr * v
-        else:
+        if not (w.dtype == np.float32 and w.flags.writeable):
+            v *= momentum
+            v += g
             ir.weights[name] = (w - lr * v).astype(np.float32)
+            continue
+        rows = max(1, _CHUNK * len(w) // w.size)
+        step = np.empty_like(v[:rows])
+        for lo in range(0, len(w), rows):
+            vb = v[lo:lo + rows]
+            vb *= momentum
+            vb += g[lo:lo + rows]
+            w[lo:lo + rows] -= np.multiply(lr, vb, out=step[:len(vb)])

@@ -258,9 +258,14 @@ def _fwd_linear(comp, ins, weights, mode):
     if x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"{comp.comp_id}: expected (N, {w.shape[1]}) input, "
                          f"got {x.shape}")
-    out = x @ w.T
+    # BLAS runs this product faster as w @ x.T; the result is copied into
+    # a C-contiguous array, which the backward's matmuls read faster
+    prod = (w @ x.T).T
     if "bias" in comp.params:
-        out = out + weights[comp.params["bias"]]
+        out = np.add(prod, weights[comp.params["bias"]],
+                     out=np.empty_like(prod, order="C"))
+    else:
+        out = np.ascontiguousarray(prod)
     return [out], {"x": x}
 
 
@@ -382,25 +387,27 @@ def _fwd_batchnorm(comp, ins, weights, mode):
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     gamma = weights[comp.params["gamma"]]
     beta = weights[comp.params["beta"]]
+    n_stat = x.size // c
     if mode == "train":
-        mu = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        n_stat = x.size // c
+        # the bytes of x.mean and x.var, with one mean and one centred x
+        mu = x.sum(axis=axes, keepdims=True) / n_stat
+        xhat = x - mu
+        var = (xhat * xhat).sum(axis=axes) / n_stat
+        mu = mu.reshape(c)
         mom = a.get("momentum", 0.1)
         rm, rv = comp.params["running_mean"], comp.params["running_var"]
         unbiased = var * n_stat / max(n_stat - 1, 1)
         weights[rm] = ((1 - mom) * weights[rm] + mom * mu).astype(np.float32)
         weights[rv] = ((1 - mom) * weights[rv] + mom * unbiased).astype(np.float32)
     else:
-        mu = weights[comp.params["running_mean"]]
         var = weights[comp.params["running_var"]]
+        xhat = x - _per_channel(weights[comp.params["running_mean"]], x.ndim)
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = x - _per_channel(mu, x.ndim)
     xhat *= _per_channel(istd, x.ndim)
     out = xhat * _per_channel(gamma, x.ndim)
     out += _per_channel(beta, x.ndim)
     return [out], {"xhat": xhat, "istd": istd, "axes": axes, "mode": mode,
-                   "n": x.size // c}
+                   "n": n_stat}
 
 
 def _bwd_batchnorm(comp, ctx, weights, need, dout):
@@ -457,19 +464,43 @@ def _fwd_pool(comp, ins, weights, mode):
                          f"kernel {k}")
     win = x.reshape(n, c, h // k, k, w // k, k)
     if comp.attrs["op"] == "avg":
-        return [win.mean(axis=(3, 5))], {"x_shape": x.shape}
+        return [_window_mean(x, win, k)], {"x_shape": x.shape}
     flat = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
     return [out], {"arg": arg, "x_shape": x.shape}
 
 
+def _window_mean(x, win, k):
+    """win.mean(axis=(3, 5)), byte for byte, win being x's k x k windows.
+
+    numpy reduces a window one row of k at a time and adds the rows in
+    order; the strided adds below do the same without its slow 6-D
+    iteration. Two cases keep the reduce, as numpy orders their sums
+    otherwise: a row of 8 or more elements is summed pairwise, and a
+    window as wide as x is one contiguous run.
+    """
+    if k >= 8 or x.shape[3] == k:
+        return win.mean(axis=(3, 5))
+
+    def row_sum(i):
+        row = x[:, :, i::k, ::k].copy()
+        for j in range(1, k):
+            row += x[:, :, i::k, j::k]
+        return row
+
+    out = row_sum(0)
+    for i in range(1, k):
+        out += row_sum(i)
+    out /= k * k
+    return out
+
+
 def _bwd_pool(comp, ctx, weights, need, dout):
     k = comp.attrs["kernel"]
     n, c, h, w = ctx["x_shape"]
     if comp.attrs["op"] == "avg":
-        dx = np.repeat(np.repeat(dout, k, axis=2), k, axis=3) / (k * k)
-        return [dx.astype(np.float32)], {}
+        return [np.repeat(np.repeat(dout, k, axis=2), k, axis=3) / (k * k)], {}
     dflat = np.zeros((n, c, h // k, w // k, k * k), dtype=np.float32)
     np.put_along_axis(dflat, ctx["arg"][..., None], dout[..., None], axis=-1)
     dx = (dflat.reshape(n, c, h // k, w // k, k, k)

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import engine
+from .engine import _CHUNK
 from .errors import ConfigError, ShapeError, TrainingDiverged
 from .grouping import Group, GroupMember, IndexTransform, selection_units
 from .importance import (GroupImportance, _scope_keep,
@@ -178,9 +179,6 @@ def coefficient_map(ir, groups, gammas: dict[str, GammaSchedule],
                 buf = np.empty(ir.weights[name].shape, np.float32)
             coeffs[name] = np.add(v0, v1, out=buf, casting="same_kind")
     return coeffs
-
-
-_CHUNK = 1 << 16   # elements per multiply-add; a 256 KiB float32 temporary
 
 
 def regularizer_grad(ir, groups, gammas: dict[str, GammaSchedule],

@@ -31,6 +31,10 @@ reference_batchnorm_forward and reference_batchnorm_backward are the
 batchnorm kernels written out of place, one new float32 array per step,
 followed by a float32 copy; the in-place kernels must match their bytes.
 
+reference_run_cell is one ablation cell as the pipeline ran it before
+ablate.run_ablation shared trained models: it builds and sparse-trains a
+fresh model for the cell, then prunes, fine-tunes and scores it.
+
 read_csv parses the CSV files the package writes, and
 trainable_param_names lists the tensors SGD trains.
 """
@@ -678,3 +682,41 @@ def reference_batchnorm_backward(comp, ctx, weights, dout):
     else:
         dx = dxhat * _bn_channel(istd, dout.ndim)
     return dx.astype(np.float32), dgamma, dbeta
+
+
+def reference_run_cell(dataset: str, strategy: str, target_speedup: float,
+                       mode: str, seed: int, cfg):
+    """One ablation cell, sparse-training its own model from scratch."""
+    from dataclasses import replace
+
+    from grouprune import ablate, engine
+    from grouprune.dependency import build_depgraph
+    from grouprune.grouping import extract_groups
+    from grouprune.pruning import (build_learned_plan, build_uniform_plan,
+                                   prune, speedup)
+    from grouprune.sparse import SparseConfig, train_sparse
+
+    (x_tr, y_tr), (x_te, y_te) = ablate.make_data(dataset, seed)
+    ir = ablate.make_model(dataset, seed)
+    groups = extract_groups(build_depgraph(ir))
+    ir, _ = train_sparse(ir, (x_tr, y_tr),
+                         replace(cfg, seed=seed, strategy=strategy), groups)
+    rng = np.random.default_rng(seed + 1)
+    if mode == "uniform":
+        ratio = ablate._uniform_ratio_for_speedup(ir, groups, target_speedup,
+                                                  strategy, rng)
+        plan = build_uniform_plan(ir, groups, ratio, strategy,
+                                  rng=np.random.default_rng(seed + 1))
+    else:
+        plan = build_learned_plan(ir, groups, 1.0 / target_speedup,
+                                  strategy, rng=rng)
+    pruned = prune(ir, plan, groups)
+    achieved = speedup(ir, pruned)
+    ft_cfg = SparseConfig(epochs=ablate.FINETUNE_EPOCHS, reg_weight=0.0,
+                          lr=cfg.lr / 2, momentum=cfg.momentum,
+                          batch_size=cfg.batch_size, seed=seed + 2)
+    pruned, _ = train_sparse(pruned, (x_tr, y_tr), ft_cfg,
+                             extract_groups(build_depgraph(pruned)))
+    acc = engine.accuracy(engine.forward(pruned, x_te), y_te)
+    return ablate.AblationCell(strategy, target_speedup, mode, seed, acc,
+                               achieved)

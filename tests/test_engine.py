@@ -8,7 +8,7 @@ import pytest
 from grouprune import engine, zoo
 from grouprune.errors import ShapeError
 from grouprune.ir import (NetworkIR, activation, batchnorm, conv2d, eltwise,
-                          init_weights, linear)
+                          init_weights, linear, pool)
 from random_nets import random_ir
 import toy_models
 
@@ -354,6 +354,41 @@ def test_batchnorm_matches_reference_bytes(shape, mode):
                      (ir.weights["bn.running_var"], want["bn.running_var"])):
         assert got.dtype == ref.dtype == np.float32
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+# -- average pool, linear ------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_avg_pool_matches_reshape_mean_bytes(k):
+    # odd batch and channel sizes; the last two shapes have a window as
+    # tall as the input, then one as wide as it
+    rng = np.random.default_rng(k)
+    comp = pool("pool", 1, kernel=k, op="avg")
+    spec = SPECS["pool"]
+    for n, c, h, w in ((5, 3, 2 * k, 3 * k), (7, 1, 3 * k, 2 * k),
+                       (3, 5, k, 4 * k), (1, 3, 3 * k, k)):
+        x = rng.normal(size=(n, c, h, w)).astype(np.float32) * 50
+        want = x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        (out,), ctx = spec.forward(comp, [x], {}, "train")
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes(), \
+            (k, x.shape)
+        dout = rng.normal(size=want.shape).astype(np.float32)
+        (dx,), _ = spec.backward(comp, ctx, {}, [True], dout)
+        assert dx.dtype == np.float32
+        np.testing.assert_array_equal(
+            dx, np.repeat(np.repeat(dout, k, axis=2), k, axis=3) / (k * k))
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_forward_is_c_contiguous(bias):
+    ir = _net([linear("fc", 33, 17, bias=bias)], [], (33,), [("fc", 0)])
+    x = np.random.default_rng(0).normal(size=(9, 33)).astype(np.float32)
+    out = engine.forward(ir, x)
+    w = ir.weights["fc.weight"]
+    want = x @ w.T + (ir.weights["fc.bias"] if bias else 0)
+    assert out.flags.c_contiguous and out.dtype == np.float32
+    np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
 
 
 # -- batchnorm statistics ----------------------------------------------------

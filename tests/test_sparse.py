@@ -438,3 +438,23 @@ def test_grouped_sparsity_beats_layerwise_on_group_norms():
         near, _total = near_zero_fraction(trace[-1])
         counts[strategy] = near
     assert counts["full-grouping"] >= counts["no-grouping"]
+
+
+@pytest.mark.parametrize("model", ["spiral_mlp", "residual_cnn"])
+def test_sgd_step_in_blocks_matches_reference(model, monkeypatch):
+    # 5-element blocks split every tensor along axis 0, with a remainder
+    monkeypatch.setattr(engine, "_CHUNK", 5)
+    ir = toy_models.BUNDLED[model](seed=2)
+    want = ir.copy()
+    rng = np.random.default_rng(1)
+    state, want_state = {}, {}
+    kept = dict(ir.weights)
+    for _step in range(3):
+        grads = {n: rng.standard_normal(w.shape).astype(np.float32)
+                 for n, w in ir.weights.items()}
+        engine.sgd_step(ir, grads, state, lr=0.05, momentum=0.9)
+        reference_sgd_step(want, grads, want_state, lr=0.05, momentum=0.9)
+    for name, w in want.weights.items():
+        assert ir.weights[name] is kept[name]
+        assert ir.weights[name].tobytes() == w.tobytes(), name
+        assert state[name].tobytes() == want_state[name].tobytes(), name
