@@ -5,12 +5,14 @@ model sparse-trained under the strategy to the target speedup with uniform
 or learned layer sparsity, fine-tune briefly, and report test accuracy.
 Training reads only the dataset, strategy, seed and config, so the grid
 trains one model per (strategy, seed) and every (target, mode) cell of it
-starts from that model. The harness drives every stochastic choice from
-the cell seed.
+starts from that model. A uniform cell prunes once, its plan found with
+pruning.plan_macs; the cell seed drives every stochastic choice.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,10 +22,10 @@ from .data import shapes, spiral, train_test_split
 from .dependency import build_depgraph
 from .errors import ConfigError
 from .grouping import extract_groups
-from .pruning import build_learned_plan, build_uniform_plan, prune, speedup
-from .sparse import SparseConfig, train_sparse
+from .pruning import (PrunePlan, build_learned_plan, build_uniform_plan,
+                      plan_macs, prunable_groups, prune, speedup)
+from .sparse import STRATEGIES, SparseConfig, train_sparse
 
-STRATEGIES = ("random", "no-grouping", "conv-only", "full-grouping")
 FINETUNE_EPOCHS = 5
 
 
@@ -55,26 +57,36 @@ def make_data(dataset: str, seed: int):
     return train_test_split(x, y, test_fraction=0.25, seed=seed)
 
 
-def _uniform_ratio_for_speedup(ir, groups, target: float, strategy, rng):
-    """Binary-search the per-group ratio that reaches a target speedup.
+def uniform_plan_for_speedup(ir, groups, target: float, strategy: str,
+                             rng_seed: int) -> PrunePlan:
+    """The uniform plan of the smallest ratio in [0, 0.95] whose speedup
+    reaches target, or of 0.95 if none does.
 
-    Returns the smallest probed ratio whose speedup reached the target
-    (the upper bound 0.95 if none did): widths change in whole units, so
-    the last midpoint can sit below the target.
+    An eligible group of width k prunes int(ratio * k) indices, so the
+    candidates are 0, 0.95 and the smallest ratio of each step j (the
+    float j / k can sit on either side of it). Every probe scores with a
+    fresh default_rng(rng_seed), so plan_macs falls as the ratio grows and
+    a bisection finds the smallest candidate that reaches the target.
     """
-    lo, hi = 0.0, 0.95
-    for _ in range(18):
-        mid = (lo + hi) / 2
-        plan = build_uniform_plan(ir, groups, mid, strategy, rng=rng)
-        pruned = prune(ir, plan, groups)
-        s = speedup(ir, pruned)
-        if s < target:
-            lo = mid
-        else:
-            hi = mid
-            if s / target < 1.02:
-                break
-    return hi
+    steps = set()
+    for k in {g.width for g in prunable_groups(ir, groups)}:
+        for j in range(1, k):
+            r = j / k
+            while int(r * k) < j:
+                r = math.nextafter(r, 1.0)
+            while int(math.nextafter(r, 0.0) * k) >= j:
+                r = math.nextafter(r, 0.0)
+            steps.add(r)
+    candidates = [0.0, *sorted(r for r in steps if r < 0.95), 0.95]
+
+    def plan_at(ratio):
+        return build_uniform_plan(ir, groups, ratio, strategy,
+                                  rng=np.random.default_rng(rng_seed))
+
+    base = plan_macs(ir, groups, PrunePlan())
+    i = bisect.bisect_left(candidates, True, key=lambda r: base / plan_macs(
+        ir, groups, plan_at(r)) >= target)
+    return plan_at(candidates[min(i, len(candidates) - 1)])
 
 
 def train_cell_model(dataset: str, strategy: str, seed: int,
@@ -101,15 +113,12 @@ def run_cell(trained, strategy: str, target_speedup: float, mode: str,
     The trained IR is only read: prune copies every tensor it keeps, and
     the fine-tune trains that copy."""
     ir, groups, ((x_tr, y_tr), (x_te, y_te)) = trained
-    rng = np.random.default_rng(seed + 1)
     if mode == "uniform":
-        ratio = _uniform_ratio_for_speedup(ir, groups, target_speedup,
-                                           strategy, rng)
-        plan = build_uniform_plan(ir, groups, ratio, strategy,
-                                  rng=np.random.default_rng(seed + 1))
+        plan = uniform_plan_for_speedup(ir, groups, target_speedup, strategy,
+                                        seed + 1)
     else:
-        plan = build_learned_plan(ir, groups, 1.0 / target_speedup,
-                                  strategy, rng=rng)
+        plan = build_learned_plan(ir, groups, 1.0 / target_speedup, strategy,
+                                  rng=np.random.default_rng(seed + 1))
     pruned = prune(ir, plan, groups)
     achieved = speedup(ir, pruned)
 

@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from . import engine
-from .ablate import STRATEGIES, make_data, run_ablation
+from .ablate import make_data, run_ablation
 from .data import DATASETS
 from .dependency import build_depgraph, export_depgraph
 from .errors import (ConfigError, GroupingError, ModelParseError, PruneError,
@@ -23,7 +23,7 @@ from .grouping import derive_grouping_matrix, export_grouping, extract_groups, g
 from .ir import load_model, save_model
 from .pruning import end_to_end_prune, format_speedup_line
 from .reporting import emit_sparsity_histogram, emit_table, emit_trace, write_csv
-from .sparse import SparseConfig, train_sparse
+from .sparse import STRATEGIES, SparseConfig, train_sparse
 
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3

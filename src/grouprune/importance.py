@@ -21,11 +21,6 @@ from .errors import ConfigError
 class GroupImportance:
     group_id: str
     values: np.ndarray            # I_{g,k}, length = group width
-    member_scope: str             # "full" | "conv" | "seed"
-
-    @property
-    def width(self) -> int:
-        return len(self.values)
 
 
 def _scope_keep(comp, scope: str, seed_component: str | None) -> bool:
@@ -60,7 +55,7 @@ def group_l2_importance(ir, group, scope: str = "full",
             values += np.bincount(m.transform.canonical(m.half.channels),
                                   weights=sq_norms(ir.weights[name], axis),
                                   minlength=group.width)
-    return GroupImportance(group.group_id, values, scope)
+    return GroupImportance(group.group_id, values)
 
 
 def relative_score(imp: GroupImportance, n: int) -> np.ndarray:
@@ -83,11 +78,6 @@ def relative_score(imp: GroupImportance, n: int) -> np.ndarray:
 
 def default_topn(width: int) -> int:
     return max(1, (width + 1) // 2)
-
-
-@dataclass
-class PruneSelection:
-    indices: tuple[int, ...]
 
 
 class PortGuard:
@@ -117,7 +107,7 @@ class PortGuard:
 
 
 def select_prune_indices(scores, ratio: float, min_keep: int = 1,
-                         units=None, windows=()) -> PruneSelection:
+                         units=None, windows=()) -> tuple[int, ...]:
     """Lowest-scoring indices to prune, never leaving fewer than min_keep.
 
     Prunes floor(ratio*K) indices; ties are pruned lower-index first.
@@ -147,4 +137,4 @@ def select_prune_indices(scores, ratio: float, min_keep: int = 1,
             break
         if guard.take(u):
             chosen.extend(u)
-    return PruneSelection(tuple(sorted(chosen)))
+    return tuple(sorted(chosen))

@@ -208,6 +208,37 @@ def speedup(ir_base, ir_pruned) -> float:
     return base / pruned
 
 
+def _narrow(kept: dict[str, int], group: Group, indices) -> set[str]:
+    """Take the canonical indices out of the kept widths of the group's
+    member halves; returns the ids of the components whose widths moved."""
+    touched = set()
+    for m in group.members:
+        t = m.transform
+        end = t.delta + t.span(m.half.channels)
+        covered = sum(1 for k in indices if t.delta <= k < end)
+        if covered:
+            kept[m.half.node_id] -= t.factor * covered
+            touched.add(m.half.component_id)
+    return touched
+
+
+def _macs_at(comp, shapes, kept: dict[str, int]) -> int:
+    cid = comp.comp_id
+    return engine.component_macs(comp, shapes[cid], kept[f"{cid}:in"],
+                                 kept[f"{cid}:out"])
+
+
+def plan_macs(ir, groups: list[Group], plan: PrunePlan) -> int:
+    """MACs of prune(ir, plan, groups) without building it: every
+    component's engine.component_macs at the kept widths the plan leaves."""
+    by_id = {g.group_id: g for g in groups}
+    kept = {h.node_id: h.channels for h in ir.halves()}
+    for e in plan.entries:
+        _narrow(kept, by_id[e.group_id], e.indices)
+    shapes = engine.infer_shapes(ir)
+    return sum(_macs_at(c, shapes, kept) for c in ir.components)
+
+
 def format_speedup_line(base_macs: int, pruned_macs: int) -> str:
     return (f"speedup {base_macs / pruned_macs:.2f}x "
             f"(MACs {base_macs} -> {pruned_macs})")
@@ -215,17 +246,6 @@ def format_speedup_line(base_macs: int, pruned_macs: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Plan construction
-
-
-def _group_scores(ir, group: Group, criterion: str, topn: int | None,
-                  rng: np.random.Generator | None, scope: str = "full",
-                  seed_component: str | None = None) -> np.ndarray:
-    if criterion == "random":
-        if rng is None:
-            raise ValueError("random criterion needs an rng")
-        return rng.random(group.width)
-    imp = group_l2_importance(ir, group, scope, seed_component)
-    return relative_score(imp, topn or default_topn(group.width))
 
 
 def _seed_component_for(group: Group, ir) -> str | None:
@@ -242,16 +262,18 @@ def scores_for_strategy(ir, group: Group, strategy: str,
                         rng: np.random.Generator | None = None) -> np.ndarray:
     """Selection scores per canonical index under an ablation strategy."""
     if strategy == "random":
-        return _group_scores(ir, group, "random", topn, rng)
+        if rng is None:
+            raise ValueError("random criterion needs an rng")
+        return rng.random(group.width)
+    scope, seed = "full", None
     if strategy == "conv-only":
-        return _group_scores(ir, group, "norm", topn, rng, scope="conv")
-    if strategy == "no-grouping":
+        scope = "conv"
+    elif strategy == "no-grouping":
         seed = _seed_component_for(group, ir)
-        if seed is None:
-            return _group_scores(ir, group, "norm", topn, rng)
-        return _group_scores(ir, group, "norm", topn, rng, scope="seed",
-                             seed_component=seed)
-    return _group_scores(ir, group, "norm", topn, rng)
+        if seed is not None:
+            scope = "seed"
+    imp = group_l2_importance(ir, group, scope, seed)
+    return relative_score(imp, topn or default_topn(group.width))
 
 
 def build_uniform_plan(ir, groups, ratio: float, strategy: str = "full-grouping",
@@ -268,8 +290,7 @@ def build_uniform_plan(ir, groups, ratio: float, strategy: str = "full-grouping"
                                    min_keep=min_keep_for(ir, group),
                                    units=group.units,
                                    windows=group.port_windows(ir))
-        plan.entries.append(PlanEntry(group.group_id, group.fingerprint,
-                                      sel.indices))
+        plan.entries.append(PlanEntry(group.group_id, group.fingerprint, sel))
     return plan
 
 
@@ -295,13 +316,7 @@ def build_learned_plan(ir, groups, macs_fraction: float,
     eligible = prunable_groups(ir, groups)
 
     kept = {h.node_id: h.channels for h in ir.halves()}
-
-    def macs_of(comp) -> int:
-        cid = comp.comp_id
-        return engine.component_macs(comp, shapes[cid], kept[f"{cid}:in"],
-                                     kept[f"{cid}:out"])
-
-    macs = {c.comp_id: macs_of(c) for c in ir.components}
+    macs = {c.comp_id: _macs_at(c, shapes, kept) for c in ir.components}
     base = sum(macs.values())
     target = macs_fraction * base
 
@@ -326,16 +341,8 @@ def build_learned_plan(ir, groups, macs_fraction: float,
                 or not guards[gid].take(unit)):
             continue
         selected[gid].update(unit)
-        touched = set()
-        for m in group.members:
-            t = m.transform
-            end = t.delta + t.span(m.half.channels)
-            covered = sum(1 for k in unit if t.delta <= k < end)
-            if covered:
-                kept[m.half.node_id] -= t.factor * covered
-                touched.add(m.half.component_id)
-        for cid in touched:
-            new = macs_of(ir.component(cid))
+        for cid in _narrow(kept, group, unit):
+            new = _macs_at(ir.component(cid), shapes, kept)
             current += new - macs[cid]
             macs[cid] = new
     plan = PrunePlan(provenance={"criterion": strategy, "mode": "learned",

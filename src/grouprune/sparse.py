@@ -34,8 +34,6 @@ from .kinds import BUFFER_ROLES, SPECS
 
 STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
 
-_SCOPE = {"full-grouping": "full", "conv-only": "conv", "no-grouping": "full"}
-
 
 _FIELD_KINDS = {"float": ((int, float), "a finite number"),
                 "int": (int, "an int"), "str": (str, "a string")}
@@ -250,16 +248,12 @@ def sparsity_groups(ir, groups: list[Group], strategy: str) -> tuple[list[Group]
         return layer_pseudo_groups(ir), "full"
     if strategy == "random":
         return [], "full"
-    return groups, _SCOPE[strategy]
-
-
-def measure_importance(ir, groups, scope: str = "full") -> dict[str, GroupImportance]:
-    return {g.group_id: group_l2_importance(ir, g, scope) for g in groups}
+    return groups, "conv" if strategy == "conv-only" else "full"
 
 
 def refresh_gamma(ir, groups, scope: str, alpha: float) -> dict[str, GammaSchedule]:
-    return {gid: compute_gamma(imp, alpha)
-            for gid, imp in measure_importance(ir, groups, scope).items()}
+    return {g.group_id: compute_gamma(group_l2_importance(ir, g, scope), alpha)
+            for g in groups}
 
 
 def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group],

@@ -33,7 +33,9 @@ followed by a float32 copy; the in-place kernels must match their bytes.
 
 reference_run_cell is one ablation cell as the pipeline ran it before
 ablate.run_ablation shared trained models: it builds and sparse-trains a
-fresh model for the cell, then prunes, fine-tunes and scores it.
+fresh model for the cell, then prunes, fine-tunes and scores it. Its
+uniform cells take their ratio from reference_uniform_ratio_for_speedup,
+a continuous bisection that prunes and counts every probe.
 
 read_csv parses the CSV files the package writes, and
 trainable_param_names lists the tensors SGD trains.
@@ -684,9 +686,35 @@ def reference_batchnorm_backward(comp, ctx, weights, dout):
     return dx.astype(np.float32), dgamma, dbeta
 
 
+def reference_uniform_ratio_for_speedup(ir, groups, target: float, strategy,
+                                        rng):
+    """Binary-search the per-group ratio that reaches a target speedup.
+
+    Returns the smallest probed ratio whose speedup reached the target
+    (the upper bound 0.95 if none did): widths change in whole units, so
+    the last midpoint can sit below the target.
+    """
+    from grouprune.pruning import build_uniform_plan, prune, speedup
+
+    lo, hi = 0.0, 0.95
+    for _ in range(18):
+        mid = (lo + hi) / 2
+        plan = build_uniform_plan(ir, groups, mid, strategy, rng=rng)
+        pruned = prune(ir, plan, groups)
+        s = speedup(ir, pruned)
+        if s < target:
+            lo = mid
+        else:
+            hi = mid
+            if s / target < 1.02:
+                break
+    return hi
+
+
 def reference_run_cell(dataset: str, strategy: str, target_speedup: float,
                        mode: str, seed: int, cfg):
-    """One ablation cell, sparse-training its own model from scratch."""
+    """One ablation cell, sparse-training its own model from scratch and
+    finding a uniform cell's ratio by trial prunes."""
     from dataclasses import replace
 
     from grouprune import ablate, engine
@@ -703,8 +731,8 @@ def reference_run_cell(dataset: str, strategy: str, target_speedup: float,
                          replace(cfg, seed=seed, strategy=strategy), groups)
     rng = np.random.default_rng(seed + 1)
     if mode == "uniform":
-        ratio = ablate._uniform_ratio_for_speedup(ir, groups, target_speedup,
-                                                  strategy, rng)
+        ratio = reference_uniform_ratio_for_speedup(ir, groups, target_speedup,
+                                                    strategy, rng)
         plan = build_uniform_plan(ir, groups, ratio, strategy,
                                   rng=np.random.default_rng(seed + 1))
     else:

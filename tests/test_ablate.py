@@ -1,15 +1,19 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from grouprune import ablate, zoo
-from grouprune.ablate import _uniform_ratio_for_speedup, run_ablation
+from grouprune.ablate import (run_ablation, run_cell, train_cell_model,
+                              uniform_plan_for_speedup)
 from grouprune.dependency import build_depgraph
 from grouprune.grouping import extract_groups
-from grouprune.pruning import build_uniform_plan, prune, speedup
-from grouprune.sparse import SparseConfig
-from reference import reference_run_cell
+from grouprune.pruning import (build_uniform_plan, prunable_groups, prune,
+                               speedup)
+from grouprune.sparse import STRATEGIES, SparseConfig
+from reference import reference_run_cell, reference_uniform_ratio_for_speedup
 
 # spiral, two strategies (one of them random) x two speedups x both modes
 # x two seeds: 16 cells from 4 trained models
@@ -21,13 +25,79 @@ CFG = SparseConfig(epochs=2, reg_weight=5e-3)
 @pytest.mark.parametrize("target", [1.5, 2.0, 3.0])
 def test_uniform_ratio_reaches_target_speedup(target):
     """Widths move in whole channels, so speedup is a step function of the
-    ratio; the chosen ratio must sit on the reaching side of the step."""
+    ratio; the chosen ratio must sit on the reaching side of the step, and
+    the float just below it, which has the next-smaller candidate's plan,
+    on the other."""
     ir = zoo.residual_cnn(seed=0)
     groups = extract_groups(build_depgraph(ir))
-    ratio = _uniform_ratio_for_speedup(ir, groups, target, "full-grouping",
-                                       np.random.default_rng(1))
-    plan = build_uniform_plan(ir, groups, ratio, "full-grouping")
+    plan = uniform_plan_for_speedup(ir, groups, target, "full-grouping", 1)
     assert speedup(ir, prune(ir, plan, groups)) >= target
+    below = math.nextafter(plan.provenance["ratio"], 0.0)
+    short = build_uniform_plan(ir, groups, below, "full-grouping")
+    assert speedup(ir, prune(ir, short, groups)) < target
+
+
+def _reachable_speedups(ir, groups, strategy):
+    """Every speedup a uniform ratio reaches, each taken in the middle of
+    its step: between two neighbouring fractions j / width of the eligible
+    groups, in exact arithmetic."""
+    steps = sorted({Fraction(j, g.width) for g in prunable_groups(ir, groups)
+                    for j in range(g.width)} | {Fraction(19, 20)})
+    steps = [q for q in steps if q <= Fraction(19, 20)]
+    return sorted({speedup(ir, prune(ir, build_uniform_plan(
+        ir, groups, float((a + b) / 2), strategy,
+        rng=np.random.default_rng(1)), groups))
+        for a, b in zip(steps, steps[1:])})
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("model", [zoo.residual_cnn, zoo.spiral_mlp])
+def test_uniform_plan_matches_trial_prune_search(model, strategy):
+    """At target 1 and at every speedup a uniform ratio reaches, and just
+    above it, the search picks the plan the trial-prune bisection picked."""
+    ir = model(seed=0)
+    groups = extract_groups(build_depgraph(ir))
+    targets = [1.0] + [t for s in _reachable_speedups(ir, groups, strategy)
+                       for t in (s, math.nextafter(s, math.inf))]
+    for target in targets:
+        ratio = reference_uniform_ratio_for_speedup(
+            ir, groups, target, strategy, np.random.default_rng(1))
+        want = build_uniform_plan(ir, groups, ratio, strategy,
+                                  rng=np.random.default_rng(1))
+        got = uniform_plan_for_speedup(ir, groups, target, strategy, 1)
+        assert got.entries == want.entries, target
+
+
+def test_uniform_plan_is_minimal_on_uneven_widths():
+    """Widths 22 and 13: the float j / width lands above the smallest ratio
+    of step j for some j (9 / 22) and below it for others (15 / 22). Every
+    speedup above 1 must be met, and the float just below the chosen ratio
+    must fall short."""
+    ir = zoo.mlp([4, 22, 13, 3])
+    groups = extract_groups(build_depgraph(ir))
+    for target in _reachable_speedups(ir, groups, "full-grouping")[1:]:
+        plan = uniform_plan_for_speedup(ir, groups, target, "full-grouping", 1)
+        assert speedup(ir, prune(ir, plan, groups)) >= target
+        below = math.nextafter(plan.provenance["ratio"], 0.0)
+        short = build_uniform_plan(ir, groups, below, "full-grouping")
+        assert speedup(ir, prune(ir, short, groups)) < target, target
+
+
+def test_uniform_cell_prunes_once(monkeypatch):
+    """The search costs its probes with plan_macs: the cell's one prune
+    is the plan it applies."""
+    trained = train_cell_model("spiral", "full-grouping", 3, CFG)
+    calls = []
+    real = ablate.prune
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ablate, "prune", spy)
+    cell = run_cell(trained, "full-grouping", 2.0, "uniform", 3, CFG)
+    assert len(calls) == 1
+    assert cell.achieved_speedup >= 2.0
 
 
 def test_ablation_matches_one_training_per_cell():

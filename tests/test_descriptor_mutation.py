@@ -8,6 +8,10 @@ take one training step: a train-mode forward and a backward whose
 gradients have their weights' shapes and are finite. Perturbed kernel,
 stride and padding ints reach the conv kernels with geometry no bundled
 model has.
+
+A second property runs `train --epochs 1` on a mutated descriptor of a
+model whose input fits a bundled dataset. It must answer with an exit
+code too, and a model it trains must reload with finite weights.
 """
 
 import contextlib
@@ -121,3 +125,33 @@ def test_mutated_descriptor_prunes_or_exits_with_a_code(saved, data):
     for name, g in engine.backward(tape, np.ones_like(y)).items():
         assert g.shape == pruned.weights[name].shape, name
         assert np.isfinite(g).all(), name
+
+
+# the models whose input fits a bundled dataset, and that dataset
+TRAINABLE = {"spiral_mlp": "spiral", "random_ir5": "spiral",
+             **{name: "shapes" for name in ("residual_cnn", "concat_cnn",
+                                            "depthwise_cnn", "grouped_cnn",
+                                            "split_cnn")}}
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_descriptor_trains_or_exits_with_a_code(saved, data):
+    name = data.draw(st.sampled_from(sorted(TRAINABLE)))
+    doc = json.loads((saved / f"{name}.json").read_text())
+    note(f"{name}: {_mutate(doc, data.draw(st.sampled_from(MUTATIONS)), data)}")
+    model = saved / "mutated.json"
+    model.write_text(json.dumps(doc))
+    out = saved / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["train", "--model", str(model), "--out", str(out),
+                   "--data", TRAINABLE[name], "--epochs", "1"])
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        return
+    trained = load_model(out / "trained.json")
+    assert all(np.isfinite(w).all() for w in trained.weights.values())

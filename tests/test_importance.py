@@ -154,7 +154,7 @@ def test_importance_independent_of_hash_seed():
 
 
 def _imp(values):
-    return GroupImportance("g", np.asarray(values, dtype=np.float64), "full")
+    return GroupImportance("g", np.asarray(values, dtype=np.float64))
 
 
 def test_relative_score_uniform_case():
@@ -236,34 +236,34 @@ def test_permutation_equivariance():
 
 def test_select_basic():
     sel = select_prune_indices([9, 1, 4], ratio=1 / 3, min_keep=1)
-    assert sel.indices == (1,)
+    assert sel == (1,)
 
 
 def test_select_ratio_zero_is_empty():
     sel = select_prune_indices([9, 1, 4], ratio=0.0, min_keep=1)
-    assert sel.indices == ()
+    assert sel == ()
 
 
 def test_select_clamps_to_min_keep():
     sel = select_prune_indices([4, 3, 2, 1], ratio=0.99, min_keep=2)
-    assert len(sel.indices) == 2
-    assert sel.indices == (2, 3)
+    assert len(sel) == 2
+    assert sel == (2, 3)
 
 
 def test_select_tie_breaks_toward_lower_index():
     sel = select_prune_indices([5, 2, 2, 2], ratio=0.5, min_keep=1)
-    assert sel.indices == (1, 2)
+    assert sel == (1, 2)
 
 
 def test_select_respects_units():
     units = ((0, 1), (2, 3))
     sel = select_prune_indices([1, 1, 10, 10], ratio=0.5, min_keep=1,
                                units=units)
-    assert sel.indices == (0, 1)
+    assert sel == (0, 1)
     # half a unit never fits: ratio 0.25 -> budget 1 < unit size 2
     sel = select_prune_indices([1, 1, 10, 10], ratio=0.25, min_keep=1,
                                units=units)
-    assert sel.indices == ()
+    assert sel == ()
 
 
 def test_select_rejects_bad_args():

@@ -11,7 +11,9 @@ from grouprune.ir import (NetworkIR, activation, batchnorm, conv2d, eltwise,
 from grouprune.pruning import (PlanEntry, PrunePlan, boundary_roles,
                                build_learned_plan, build_uniform_plan,
                                end_to_end_prune, format_speedup_line,
-                               min_keep_for, prunable_groups, prune, speedup)
+                               min_keep_for, plan_macs, prunable_groups,
+                               prune, speedup)
+from grouprune.sparse import STRATEGIES
 from random_nets import random_ir
 import toy_models
 
@@ -285,7 +287,6 @@ def test_pruned_model_round_trips_by_file(tmp_path):
 
 # -- learned plan against the recounting oracle -------------------------------
 
-STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
 MACS_FRACTIONS = (0.3, 0.5, 0.8, 1.0)
 
 
@@ -318,7 +319,22 @@ def test_learned_plan_matches_recounting_oracle():
                 assert plan.entries == want.entries, case
                 assert plan.provenance == want.provenance, case
                 pruned = prune(ir, plan, groups)   # no port is emptied
-                assert engine.count_macs(pruned) == _plan_macs(ir, groups, plan), case
+                macs = plan_macs(ir, groups, plan)
+                assert macs == engine.count_macs(pruned) == \
+                    _plan_macs(ir, groups, plan), case
+
+
+def test_plan_macs_counts_uniform_plans_as_prune_does():
+    for name, ir in oracle_models():
+        groups = extract_groups(build_depgraph(ir))
+        for strategy in ("full-grouping", "random"):
+            for ratio in (0.1, 0.3, 0.5, 0.7, 0.9):
+                case = (name, strategy, ratio)
+                plan = build_uniform_plan(ir, groups, ratio, strategy,
+                                          rng=np.random.default_rng(3))
+                macs = plan_macs(ir, groups, plan)
+                assert macs == engine.count_macs(prune(ir, plan, groups)) == \
+                    _plan_macs(ir, groups, plan), case
 
 
 def deep_residual_cnn(blocks: int, width: int = 8, image: int = 8) -> NetworkIR:

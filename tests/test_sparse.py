@@ -23,7 +23,7 @@ from reference import (fd_scalar, grad_rel_err,
 
 
 def _imp(values):
-    return GroupImportance("g", np.asarray(values, dtype=np.float64), "full")
+    return GroupImportance("g", np.asarray(values, dtype=np.float64))
 
 
 # -- gamma schedule -----------------------------------------------------------
@@ -72,7 +72,7 @@ def test_regularizer_closed_form_single_slice():
     init_weights(ir, np.random.default_rng(0))
     groups = layer_pseudo_groups(ir)
     uniform = {g.group_id: compute_gamma(
-        GroupImportance(g.group_id, np.ones(g.width), "full"), 4.0)
+        GroupImportance(g.group_id, np.ones(g.width)), 4.0)
         for g in groups}
     grads = regularizer_grad(ir, groups, uniform, reg_weight=0.5)
     np.testing.assert_allclose(grads["fc.weight"], ir.weights["fc.weight"],
