@@ -13,11 +13,10 @@ from .errors import (ConfigError, GroupingError, GroupruneError,
                      TrainingDiverged, ValidationError)
 from .grouping import (Group, GroupingMatrix, IndexTransform,
                        derive_grouping_matrix, export_grouping, extract_groups)
-from .importance import (GroupImportance, group_l2_importance, relative_score,
-                         select_prune_indices)
-from .ir import NetworkIR, PruningScheme, load_model, save_model
+from .importance import group_l2_importance, relative_score, select_prune_indices
+from .ir import NetworkIR, load_model, save_model
 from .pruning import PrunePlan, end_to_end_prune, prune, speedup
-from .sparse import GammaSchedule, SparseConfig, compute_gamma, train_sparse
+from .sparse import SparseConfig, compute_gamma, train_sparse
 
 __version__ = "0.1.0"
 
@@ -28,9 +27,8 @@ __all__ = [
     "PruneError", "ShapeError", "TrainingDiverged", "ValidationError",
     "Group", "GroupingMatrix", "IndexTransform", "derive_grouping_matrix",
     "export_grouping", "extract_groups",
-    "GroupImportance", "group_l2_importance", "relative_score",
-    "select_prune_indices",
-    "NetworkIR", "PruningScheme", "load_model", "save_model",
+    "group_l2_importance", "relative_score", "select_prune_indices",
+    "NetworkIR", "load_model", "save_model",
     "PrunePlan", "end_to_end_prune", "prune", "speedup",
-    "GammaSchedule", "SparseConfig", "compute_gamma", "train_sparse",
+    "SparseConfig", "compute_gamma", "train_sparse",
 ]

@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", default="shapes", help="spiral | shapes")
     sp.add_argument("--out", required=True)
     sp.add_argument("--config", help="JSON SparseConfig file")
-    sp.add_argument("--strategy", choices=("full-grouping", "conv-only",
-                                           "no-grouping"))
+    # "random" is a pruning criterion only: it has nothing to regularize
+    sp.add_argument("--strategy", choices=STRATEGIES[:3])
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--reg-weight", type=float, dest="reg_weight")
     sp.add_argument("--epochs", type=int)

@@ -63,9 +63,6 @@ class DependencyGraph:
         self.steps[b].append((a, -shift, 1 if ratio == 1 else 1 / ratio))
         self.labels[frozenset((a, b))] = label
 
-    def label(self, a: int, b: int) -> str | None:
-        return self.labels.get(frozenset((a, b)))
-
     def dense(self) -> np.ndarray:
         """0/1 adjacency matrix in canonical half order."""
         m = np.zeros((self.order, self.order), dtype=np.int8)
@@ -73,9 +70,6 @@ class DependencyGraph:
             a, b = tuple(pair)
             m[a, b] = m[b, a] = 1
         return m
-
-    def count(self, label: str) -> int:
-        return sum(1 for lab in self.labels.values() if lab == label)
 
 
 def build_depgraph(ir: "_ir.NetworkIR") -> DependencyGraph:

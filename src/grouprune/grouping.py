@@ -97,8 +97,8 @@ class Group:
         return {m.half.node_id for m in self.members}
 
     def slices(self, ir):
-        """(member, component, role, tensor name, axis) of every parameter
-        slice the group removes, once per (tensor, axis), in member order.
+        """(member, role, tensor name, axis) of every parameter slice the
+        group removes, once per (tensor, axis), in member order.
 
         Both halves of a batchnorm or grouped conv slice the same tensors
         at the same indices; the first member to name them yields them.
@@ -106,11 +106,11 @@ class Group:
         seen = set()
         for m in self.members:
             comp = ir.component(m.half.component_id)
-            for sl in m.half.scheme.slices:
-                name = comp.params[sl.role]
-                if (name, sl.axis) not in seen:
-                    seen.add((name, sl.axis))
-                    yield m, comp, sl.role, name, sl.axis
+            for role, axis in m.half.scheme:
+                name = comp.params[role]
+                if (name, axis) not in seen:
+                    seen.add((name, axis))
+                    yield m, role, name, axis
 
     def port_windows(self, ir) -> list[set[int]]:
         """Canonical indices behind each window of the group's input halves

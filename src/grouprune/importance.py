@@ -5,32 +5,15 @@ norm of every parameter slice that would be removed by pruning k. Slices
 are deduplicated across members (a batchnorm contributes its per-channel
 state once, even though both of its halves sit in the group). A relative
 score normalizes by the mass of the N largest entries so that scores are
-comparable across groups.
+comparable across groups. A grouping strategy picks the members that
+count beforehand (sparse.counted_group); scoring reads every member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass
-class GroupImportance:
-    group_id: str
-    values: np.ndarray            # I_{g,k}, length = group width
-
-
-def _scope_keep(comp, scope: str, seed_component: str | None) -> bool:
-    if scope == "full":
-        return True
-    if scope == "conv":
-        return comp.kind == "conv2d"
-    if scope == "seed":
-        return comp.comp_id == seed_component
-    raise ValueError(f"unknown importance scope {scope!r}")
 
 
 def sq_norms(w: np.ndarray, axis: int) -> np.ndarray:
@@ -39,33 +22,28 @@ def sq_norms(w: np.ndarray, axis: int) -> np.ndarray:
     return (w.astype(np.float64) ** 2).sum(axis=other)
 
 
-def group_l2_importance(ir, group, scope: str = "full",
-                        seed_component: str | None = None) -> GroupImportance:
-    """Sum of squared slice norms per canonical index.
+def group_l2_importance(ir, group) -> np.ndarray:
+    """Sum of squared slice norms per canonical index, in float64.
 
     Each slice of the group adds its norms at its members' canonical
     indices, in the fixed order of Group.slices. Pass-through members own
-    no slices and contribute zero. scope narrows which member kinds
-    count: "conv" keeps conv2d members only, "seed" keeps a single named
-    component (both used by ablation strategies).
+    no slices and contribute zero.
     """
     values = np.zeros(group.width, dtype=np.float64)
-    for m, comp, _role, name, axis in group.slices(ir):
-        if _scope_keep(comp, scope, seed_component):
-            values += np.bincount(m.transform.canonical(m.half.channels),
-                                  weights=sq_norms(ir.weights[name], axis),
-                                  minlength=group.width)
-    return GroupImportance(group.group_id, values)
+    for m, _role, name, axis in group.slices(ir):
+        values += np.bincount(m.transform.canonical(m.half.channels),
+                              weights=sq_norms(ir.weights[name], axis),
+                              minlength=group.width)
+    return values
 
 
-def relative_score(imp: GroupImportance, n: int) -> np.ndarray:
+def relative_score(values: np.ndarray, n: int) -> np.ndarray:
     """Scores normalized by the mass of the n largest entries.
 
     score_k = n * I_k / sum(TopN(I)); ties inside the TopN cut are broken
     toward the lower index. An all-zero importance vector maps to all-zero
     scores (documented sentinel, no division by zero).
     """
-    values = imp.values
     k = len(values)
     if not (1 <= n <= k):
         raise ConfigError(f"topn must be in [1, {k}], got {n}")

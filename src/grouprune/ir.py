@@ -30,33 +30,18 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SliceSpec:
-    """One parameter slice removed when a prunable index is pruned."""
-
-    role: str   # parameter role within the component, e.g. "weight"
-    axis: int
-
-
-@dataclass(frozen=True)
-class PruningScheme:
-    """What gets sliced when index k of a half node is pruned.
-
-    Slices are listed in the kind's role order, so two schemes are equal
-    iff they slice the same roles along the same axes; pass-through
-    halves have an empty slice list and therefore all compare equal.
-    """
-
-    slices: tuple[SliceSpec, ...]
-
-
-@dataclass(frozen=True)
 class HalfNode:
-    """Input or output half of one component."""
+    """Input or output half of one component.
+
+    scheme holds the (role, axis) pairs of KindSpec.slices in the kind's
+    role order, so two schemes are equal iff they slice the same roles
+    along the same axes; pass-through halves all have an empty one.
+    """
 
     component_id: str
     side: str            # "in" | "out"
     channels: int
-    scheme: PruningScheme
+    scheme: tuple[tuple[str, int], ...]
 
     @property
     def node_id(self) -> str:
@@ -225,11 +210,9 @@ class NetworkIR:
             for comp in self.components:
                 spec, ports = SPECS[comp.kind], self.ports(comp.comp_id)
                 for side, windows in (("in", ports.ins), ("out", ports.outs)):
-                    scheme = PruningScheme(tuple(
-                        SliceSpec(role, axis)
-                        for role, axis in spec.slices(comp, side)))
                     width = max(off + w for off, w in windows)
-                    self._halves.append(HalfNode(comp.comp_id, side, width, scheme))
+                    self._halves.append(HalfNode(comp.comp_id, side, width,
+                                                 tuple(spec.slices(comp, side))))
         return list(self._halves)
 
     @property

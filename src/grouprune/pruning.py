@@ -22,6 +22,7 @@ from .grouping import Group, extract_groups
 from .importance import (PortGuard, default_topn, group_l2_importance,
                          relative_score, select_prune_indices)
 from .kinds import SPECS
+from .sparse import counted_group
 
 
 @dataclass
@@ -148,7 +149,7 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
             locals_hit = np.flatnonzero(mask[m.transform.canonical(m.half.channels)])
             if locals_hit.size:
                 half_removed[m.half.node_id] = locals_hit.tolist()
-        for m, _comp, _role, name, axis in group.slices(ir):
+        for m, _role, name, axis in group.slices(ir):
             if m.half.node_id in half_removed:
                 (tensor_removed.setdefault(name, {}).setdefault(axis, set())
                  .update(half_removed[m.half.node_id]))
@@ -248,15 +249,6 @@ def format_speedup_line(base_macs: int, pruned_macs: int) -> str:
 # Plan construction
 
 
-def _seed_component_for(group: Group, ir) -> str | None:
-    """First member component with a weight (a conv or linear layer); the
-    no-grouping criterion scores a group by this single layer."""
-    for m in sorted(group.members, key=lambda m: m.half_index):
-        if "weight" in ir.component(m.half.component_id).params:
-            return m.half.component_id
-    return None
-
-
 def scores_for_strategy(ir, group: Group, strategy: str,
                         topn: int | None = None,
                         rng: np.random.Generator | None = None) -> np.ndarray:
@@ -265,14 +257,7 @@ def scores_for_strategy(ir, group: Group, strategy: str,
         if rng is None:
             raise ValueError("random criterion needs an rng")
         return rng.random(group.width)
-    scope, seed = "full", None
-    if strategy == "conv-only":
-        scope = "conv"
-    elif strategy == "no-grouping":
-        seed = _seed_component_for(group, ir)
-        if seed is not None:
-            scope = "seed"
-    imp = group_l2_importance(ir, group, scope, seed)
+    imp = group_l2_importance(ir, counted_group(ir, group, strategy))
     return relative_score(imp, topn or default_topn(group.width))
 
 

@@ -14,6 +14,10 @@ over every slice that holds an element, rounded once (coefficient_map).
 The training loop rebuilds the maps, in place, each time it refreshes
 gamma, and on every step regularizer_grad adds C * w into the task
 gradients in place.
+
+A grouping strategy enters in two places only: sparsity_groups picks the
+groups to regularize, counted_group the members of a group that count
+toward its importance and regularizer. Everything else reads plain groups.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from . import engine
 from .engine import _CHUNK
 from .errors import ConfigError, ShapeError, TrainingDiverged
 from .grouping import Group, GroupMember, IndexTransform, selection_units
-from .importance import (GroupImportance, _scope_keep,
-                         group_l2_importance, sq_norms)
+from .importance import group_l2_importance, sq_norms
 from .kinds import BUFFER_ROLES, SPECS
 
 STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
@@ -103,41 +106,32 @@ class SparseConfig:
             fh.write("\n")
 
 
-@dataclass
-class GammaSchedule:
-    group_id: str
-    gamma: np.ndarray
-
-
-def compute_gamma(imp: GroupImportance, alpha: float) -> GammaSchedule:
+def compute_gamma(values: np.ndarray, alpha: float) -> np.ndarray:
     """Exponential shrinkage weights from importance.
 
     gamma_k = 2 ** (alpha * (I_max - I_k) / (I_max - I_min)), which is 1 at
     the most important index and 2**alpha at the least important one. A
     degenerate group (I_max == I_min) gets uniform gamma = 1.
     """
-    values = imp.values
     i_max, i_min = float(values.max()), float(values.min())
     if i_max == i_min:
-        gamma = np.ones_like(values, dtype=np.float64)
-    else:
-        gamma = 2.0 ** (alpha * (i_max - values) / (i_max - i_min))
-    return GammaSchedule(imp.group_id, gamma)
+        return np.ones_like(values, dtype=np.float64)
+    return 2.0 ** (alpha * (i_max - values) / (i_max - i_min))
 
 
-def _weighted_slices(ir, groups, gammas, scope: str):
+def _weighted_slices(ir, groups, gammas):
     """(tensor name, axis, gamma per local index) of every trainable slice
-    in scope. Batchnorm running statistics are per-channel state, not
+    of the groups. Batchnorm running statistics are per-channel state, not
     trainable weights, and are skipped."""
     for group in groups:
-        gamma = gammas[group.group_id].gamma
-        for m, comp, role, name, axis in group.slices(ir):
-            if role not in BUFFER_ROLES and _scope_keep(comp, scope, None):
+        gamma = gammas[group.group_id]
+        for m, role, name, axis in group.slices(ir):
+            if role not in BUFFER_ROLES:
                 yield name, axis, gamma[m.transform.canonical(m.half.channels)]
 
 
-def coefficient_map(ir, groups, gammas: dict[str, GammaSchedule],
-                    reg_weight: float, scope: str = "full",
+def coefficient_map(ir, groups, gammas: dict[str, np.ndarray],
+                    reg_weight: float,
                     out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Per-tensor float32 coefficient C of the regularizer gradient C * w.
 
@@ -157,7 +151,7 @@ def coefficient_map(ir, groups, gammas: dict[str, GammaSchedule],
     if reg_weight == 0:
         return {}
     sums: dict[str, dict[int, np.ndarray]] = {}
-    for name, axis, coeff in _weighted_slices(ir, groups, gammas, scope):
+    for name, axis, coeff in _weighted_slices(ir, groups, gammas):
         by_axis = sums.setdefault(name, {})
         by_axis[axis] = by_axis[axis] + coeff if axis in by_axis else coeff
     coeffs = {}
@@ -179,8 +173,8 @@ def coefficient_map(ir, groups, gammas: dict[str, GammaSchedule],
     return coeffs
 
 
-def regularizer_grad(ir, groups, gammas: dict[str, GammaSchedule],
-                     reg_weight: float, scope: str = "full", *,
+def regularizer_grad(ir, groups, gammas: dict[str, np.ndarray],
+                     reg_weight: float, *,
                      coeffs: dict[str, np.ndarray] | None = None,
                      grads: dict[str, np.ndarray] | None = None,
                      ) -> dict[str, np.ndarray]:
@@ -199,7 +193,7 @@ def regularizer_grad(ir, groups, gammas: dict[str, GammaSchedule],
     dict; it is returned.
     """
     if coeffs is None:
-        coeffs = coefficient_map(ir, groups, gammas, reg_weight, scope)
+        coeffs = coefficient_map(ir, groups, gammas, reg_weight)
     if grads is None:
         grads = {}
     for name, c in coeffs.items():
@@ -214,11 +208,10 @@ def regularizer_grad(ir, groups, gammas: dict[str, GammaSchedule],
     return grads
 
 
-def regularizer_value(ir, groups, gammas, reg_weight: float,
-                      scope: str = "full") -> float:
+def regularizer_value(ir, groups, gammas, reg_weight: float) -> float:
     """Scalar value of the regularizer; finite-difference oracle target."""
     total = sum(float(coeff @ sq_norms(ir.weights[name], axis))
-                for name, axis, coeff in _weighted_slices(ir, groups, gammas, scope))
+                for name, axis, coeff in _weighted_slices(ir, groups, gammas))
     return reg_weight * total
 
 
@@ -242,43 +235,58 @@ def layer_pseudo_groups(ir) -> list[Group]:
     return groups
 
 
-def sparsity_groups(ir, groups: list[Group], strategy: str) -> tuple[list[Group], str]:
-    """Groups and member scope used for regularization under a strategy."""
+def sparsity_groups(ir, groups: list[Group], strategy: str) -> list[Group]:
+    """Groups regularized under a strategy."""
     if strategy == "no-grouping":
-        return layer_pseudo_groups(ir), "full"
+        return layer_pseudo_groups(ir)
     if strategy == "random":
-        return [], "full"
-    return groups, "conv" if strategy == "conv-only" else "full"
+        return []
+    return groups
 
 
-def refresh_gamma(ir, groups, scope: str, alpha: float) -> dict[str, GammaSchedule]:
-    return {g.group_id: compute_gamma(group_l2_importance(ir, g, scope), alpha)
+def counted_group(ir, group: Group, strategy: str) -> Group:
+    """The group with only the members a strategy counts: the conv2d ones
+    under conv-only, under no-grouping the first member layer with a
+    weight (every member if none has one), else the group itself."""
+    if strategy == "conv-only":
+        members = [m for m in group.members
+                   if ir.component(m.half.component_id).kind == "conv2d"]
+    elif strategy == "no-grouping":
+        weighted = [m for m in group.members
+                    if "weight" in ir.component(m.half.component_id).params]
+        if not weighted:
+            return group
+        layer = min(weighted, key=lambda m: m.half_index).half.component_id
+        members = [m for m in group.members if m.half.component_id == layer]
+    else:
+        return group
+    return Group(group.group_id, members, group.width, group.units)
+
+
+def refresh_gamma(ir, groups, alpha: float) -> dict[str, np.ndarray]:
+    return {g.group_id: compute_gamma(group_l2_importance(ir, g), alpha)
             for g in groups}
 
 
-def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group],
-                 trace_groups: list[Group] | None = None):
+def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group]):
     """SGD on task loss plus the group sparsity regularizer.
 
-    dataset is (X, y); the IR's weights are updated in place. trace_groups
-    selects which groups get their importance recorded per epoch (defaults
-    to the regularized ones), so ablation modes can be compared on one
-    common group structure.
+    dataset is (X, y); the IR's weights are updated in place. The
+    regularizer acts on the counted_group of each of sparsity_groups(...).
 
     Returns the sparsity trace: per epoch, (group id, canonical index,
-    importance) for every trace group. Raises TrainingDiverged with the
-    partial trace if the loss goes non-finite, and ShapeError before the
-    first step if the network has fewer outputs than the labels have
-    classes.
+    importance over every member) for each group of sparsity_groups(...).
+    Raises TrainingDiverged with the partial trace if the loss goes
+    non-finite, and ShapeError before the first step if the network has
+    fewer outputs than the labels have classes.
     """
     x_all, y_all = dataset
     classes = int(y_all.max()) + 1
     rng = np.random.default_rng(cfg.seed)
-    reg_groups, scope = sparsity_groups(ir, groups, cfg.strategy)
-    if trace_groups is None:
-        trace_groups = reg_groups
-    gammas = refresh_gamma(ir, reg_groups, scope, cfg.alpha)
-    coeffs = coefficient_map(ir, reg_groups, gammas, cfg.reg_weight, scope)
+    traced = sparsity_groups(ir, groups, cfg.strategy)
+    reg_groups = [counted_group(ir, g, cfg.strategy) for g in traced]
+    gammas = refresh_gamma(ir, reg_groups, cfg.alpha)
+    coeffs = coefficient_map(ir, reg_groups, gammas, cfg.reg_weight)
     state: dict[str, np.ndarray] = {}
     trace = []
     step = 0
@@ -298,19 +306,19 @@ def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group],
                     trace=trace)
             grads = engine.backward(tape, dlogits)
             if cfg.reg_weight > 0:
-                regularizer_grad(ir, reg_groups, gammas, cfg.reg_weight, scope,
+                regularizer_grad(ir, reg_groups, gammas, cfg.reg_weight,
                                  coeffs=coeffs, grads=grads)
             engine.sgd_step(ir, grads, state, cfg.lr, cfg.momentum)
             del grads   # freed before the next backward allocates its own
             step += 1
             if cfg.reg_weight > 0 and step % cfg.refresh_period == 0:
-                gammas = refresh_gamma(ir, reg_groups, scope, cfg.alpha)
+                gammas = refresh_gamma(ir, reg_groups, cfg.alpha)
                 coeffs = coefficient_map(ir, reg_groups, gammas,
-                                         cfg.reg_weight, scope, out=coeffs)
+                                         cfg.reg_weight, out=coeffs)
         entries = []
-        for g in trace_groups:
-            imp = group_l2_importance(ir, g, "full")
-            entries.extend((g.group_id, k, float(imp.values[k]))
+        for g in traced:
+            imp = group_l2_importance(ir, g)
+            entries.extend((g.group_id, k, float(imp[k]))
                            for k in range(g.width))
         trace.append({"epoch": epoch, "entries": entries})
     return ir, trace

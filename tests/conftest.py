@@ -27,8 +27,8 @@ def zeroize_group(ir, group, indices):
     z = ir.copy()
     for m in group.members:
         comp = z.component(m.half.component_id)
-        for sl in m.half.scheme.slices:
-            mv = np.moveaxis(z.weights[comp.params[sl.role]], sl.axis, 0)
+        for role, axis in m.half.scheme:
+            mv = np.moveaxis(z.weights[comp.params[role]], axis, 0)
             for k in indices:
                 for local in transform_locals(m.transform, k, m.half.channels):
                     mv[local] = 0.0

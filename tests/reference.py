@@ -550,6 +550,20 @@ def _keep(comp, scope, seed_component) -> bool:
             or (scope == "seed" and comp.comp_id == seed_component))
 
 
+def reference_scope(ir, group, strategy: str) -> tuple[str, str | None]:
+    """The (scope, seed component) _keep reads for a strategy's members:
+    conv2d ones under conv-only; under no-grouping the layer with a weight
+    whose half comes first in canonical order, or every member when none
+    has a weight; every member otherwise."""
+    if strategy == "conv-only":
+        return "conv", None
+    if strategy == "no-grouping":
+        for m in sorted(group.members, key=lambda m: m.half_index):
+            if "weight" in ir.component(m.half.component_id).params:
+                return "seed", m.half.component_id
+    return "full", None
+
+
 def reference_group_l2_importance(ir, group, scope: str = "full",
                                   seed_component: str | None = None) -> np.ndarray:
     """Per canonical index k, the squared norms of the set of distinct
@@ -559,11 +573,11 @@ def reference_group_l2_importance(ir, group, scope: str = "full",
         comp = ir.component(m.half.component_id)
         if not _keep(comp, scope, seed_component):
             continue
-        for sl in m.half.scheme.slices:
-            name = comp.params[sl.role]
+        for role, axis in m.half.scheme:
+            name = comp.params[role]
             for k in range(group.width):
                 for local in transform_locals(m.transform, k, m.half.channels):
-                    hits[k].add((name, sl.axis, local))
+                    hits[k].add((name, axis, local))
     values = np.zeros(group.width, dtype=np.float64)
     for k in range(group.width):
         for name, axis, local in hits[k]:
@@ -583,22 +597,22 @@ def reference_regularizer_coefficients(ir, groups, gammas, reg_weight: float,
         return {}
     per_axis: dict[str, dict[int, np.ndarray]] = {}
     for group in groups:
-        gamma = gammas[group.group_id].gamma
+        gamma = gammas[group.group_id]
         seen = set()
         for m in group.members:
             comp = ir.component(m.half.component_id)
             if scope == "conv" and comp.kind != "conv2d":
                 continue
-            for sl in m.half.scheme.slices:
-                if sl.role in BUFFER_ROLES:
+            for role, axis in m.half.scheme:
+                if role in BUFFER_ROLES:
                     continue
-                name = comp.params[sl.role]
-                if (name, sl.axis, m.transform) in seen:
+                name = comp.params[role]
+                if (name, axis, m.transform) in seen:
                     continue   # both halves of batchnorm / grouped conv
-                seen.add((name, sl.axis, m.transform))
-                size = ir.weights[name].shape[sl.axis]
+                seen.add((name, axis, m.transform))
+                size = ir.weights[name].shape[axis]
                 total = per_axis.setdefault(name, {}).setdefault(
-                    sl.axis, np.zeros(size, dtype=np.float64))
+                    axis, np.zeros(size, dtype=np.float64))
                 for k in range(group.width):
                     for local in transform_locals(m.transform, k,
                                                   m.half.channels):

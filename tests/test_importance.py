@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from grouprune import zoo
 from grouprune.dependency import build_depgraph
 from grouprune.grouping import extract_groups
-from grouprune.importance import (GroupImportance, default_topn,
-                                  group_l2_importance, relative_score,
-                                  select_prune_indices)
-from grouprune.pruning import _seed_component_for
-from grouprune.sparse import layer_pseudo_groups
+from grouprune.importance import (default_topn, group_l2_importance,
+                                  relative_score, select_prune_indices)
+from grouprune.sparse import STRATEGIES, counted_group, layer_pseudo_groups
 
 import toy_models
 from conftest import oracle_models
-from reference import reference_group_l2_importance, transform_locals
+from reference import (reference_group_l2_importance, reference_scope,
+                       transform_locals)
 
 
 def middle_group(ir):
@@ -35,7 +34,7 @@ def test_single_linear_row_norms_squared():
     ir.weights["fc1.bias"][:] = 0.0
     group = layer_pseudo_groups(ir)[0]   # fc1's output half alone
     imp = group_l2_importance(ir, group)
-    np.testing.assert_allclose(imp.values, [1.0, 4.0, 9.0])
+    np.testing.assert_allclose(imp, [1.0, 4.0, 9.0])
 
 
 def test_two_identical_members_double_importance():
@@ -47,7 +46,7 @@ def test_two_identical_members_double_importance():
     ir.weights["fc2.weight"] = w1.T.copy()   # columns mirror fc1's rows
     group = middle_group(ir)
     imp = group_l2_importance(ir, group)
-    np.testing.assert_allclose(imp.values, 2 * (w1 ** 2).sum(axis=1),
+    np.testing.assert_allclose(imp, 2 * (w1 ** 2).sum(axis=1),
                                rtol=1e-6)
 
 
@@ -62,17 +61,17 @@ def test_residual_group_matches_naive_recount():
             seen = set()
             for m in group.members:
                 comp = ir.component(m.half.component_id)
-                for sl in m.half.scheme.slices:
-                    name = comp.params[sl.role]
+                for role, axis in m.half.scheme:
+                    name = comp.params[role]
                     for local in transform_locals(m.transform, k, m.half.channels):
-                        key = (name, sl.axis, local)
+                        key = (name, axis, local)
                         if key in seen:
                             continue
                         seen.add(key)
-                        piece = np.take(ir.weights[name], local, axis=sl.axis)
+                        piece = np.take(ir.weights[name], local, axis=axis)
                         expected[k] += float(np.linalg.norm(
                             piece.astype(np.float64)) ** 2)
-        np.testing.assert_allclose(imp.values, expected, rtol=1e-6)
+        np.testing.assert_allclose(imp, expected, rtol=1e-6)
 
 
 def test_batchnorm_state_counted_once():
@@ -89,7 +88,7 @@ def test_batchnorm_state_counted_once():
     conv1_part = float((ir.weights["conv1.weight"][k].astype(np.float64) ** 2).sum()
                        + ir.weights["conv1.bias"].astype(np.float64)[k] ** 2)
     conv2_part = float((ir.weights["conv2.weight"][:, k].astype(np.float64) ** 2).sum())
-    assert imp.values[k] == pytest.approx(bn_part + conv1_part + conv2_part,
+    assert imp[k] == pytest.approx(bn_part + conv1_part + conv2_part,
                                           rel=1e-6)
     assert gamma is not None
 
@@ -107,18 +106,18 @@ def test_passthrough_members_contribute_zero():
     for name in ("bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var"):
         z.weights[name][:] = 0.0
     imp = group_l2_importance(z, g)
-    np.testing.assert_array_equal(imp.values, 0.0)
+    np.testing.assert_array_equal(imp, 0.0)
 
 
 def test_importance_matches_set_oracle():
     for name, ir in oracle_models():
         for group in extract_groups(build_depgraph(ir)):
-            seed = _seed_component_for(group, ir)
-            for scope in ("full", "conv", "seed"):
-                got = group_l2_importance(ir, group, scope, seed).values
-                want = reference_group_l2_importance(ir, group, scope, seed)
+            for strategy in STRATEGIES[:3]:
+                got = group_l2_importance(ir, counted_group(ir, group, strategy))
+                want = reference_group_l2_importance(
+                    ir, group, *reference_scope(ir, group, strategy))
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
-                                           err_msg=f"{name} {group.group_id} {scope}")
+                                           err_msg=f"{name} {group.group_id} {strategy}")
 
 
 _DIGEST = """
@@ -132,7 +131,7 @@ h = hashlib.sha256()
 for seed in range(20):
     for ir in (zoo.residual_cnn(seed=seed), random_ir(seed)):
         for g in extract_groups(build_depgraph(ir)):
-            h.update(group_l2_importance(ir, g).values.tobytes())
+            h.update(group_l2_importance(ir, g).tobytes())
 print(h.hexdigest())
 """
 
@@ -154,7 +153,7 @@ def test_importance_independent_of_hash_seed():
 
 
 def _imp(values):
-    return GroupImportance("g", np.asarray(values, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_relative_score_uniform_case():
@@ -207,11 +206,11 @@ def test_scale_covariance(c, seed):
     scaled = ir.copy()
     for m in group.members:
         comp = scaled.component(m.half.component_id)
-        for sl in m.half.scheme.slices:
-            scaled.weights[comp.params[sl.role]] = (
-                scaled.weights[comp.params[sl.role]] * c)
+        for role, _axis in m.half.scheme:
+            scaled.weights[comp.params[role]] = (
+                scaled.weights[comp.params[role]] * c)
     after = group_l2_importance(scaled, group)
-    np.testing.assert_allclose(after.values, c ** 2 * base.values, rtol=1e-5)
+    np.testing.assert_allclose(after, c ** 2 * base, rtol=1e-5)
     n = default_topn(group.width)
     np.testing.assert_array_equal(np.argsort(relative_score(after, n)),
                                   np.argsort(relative_score(base, n)))
@@ -220,14 +219,14 @@ def test_scale_covariance(c, seed):
 def test_permutation_equivariance():
     ir = toy_models.two_layer_mlp(seed=3)
     group = middle_group(ir)
-    base = group_l2_importance(ir, group).values
+    base = group_l2_importance(ir, group)
     rng = np.random.default_rng(0)
     perm = rng.permutation(group.width)
     permuted = ir.copy()
     permuted.weights["fc1.weight"] = permuted.weights["fc1.weight"][perm]
     permuted.weights["fc1.bias"] = permuted.weights["fc1.bias"][perm]
     permuted.weights["fc2.weight"] = permuted.weights["fc2.weight"][:, perm]
-    after = group_l2_importance(permuted, group).values
+    after = group_l2_importance(permuted, group)
     np.testing.assert_allclose(after, base[perm], rtol=1e-6)
 
 

@@ -83,11 +83,12 @@ def test_builder_plans_prune_like_zeroizing_on_random_irs(mode):
         by_id = {g.group_id: g for g in groups}
         x = np.random.default_rng(seed).normal(
             size=(16,) + ir.input_shape).astype(np.float32)
-        for strategy in ("full-grouping", "no-grouping"):
+        for strategy in ("full-grouping", "no-grouping", "conv-only", "random"):
+            rng = np.random.default_rng(seed)
             if mode == "uniform":
-                plan = build_uniform_plan(ir, groups, 0.5, strategy)
+                plan = build_uniform_plan(ir, groups, 0.5, strategy, rng=rng)
             else:
-                plan = build_learned_plan(ir, groups, 0.5, strategy)
+                plan = build_learned_plan(ir, groups, 0.5, strategy, rng=rng)
             z = ir
             for e in plan.entries:
                 z = zeroize_group(z, by_id[e.group_id], e.indices)

@@ -8,12 +8,13 @@ from grouprune.data import shapes, spiral, train_test_split
 from grouprune.dependency import build_depgraph
 from grouprune.errors import TrainingDiverged
 from grouprune.grouping import extract_groups
-from grouprune.importance import GroupImportance, group_l2_importance
+from grouprune.importance import group_l2_importance
 from grouprune.ir import NetworkIR, init_weights, linear
 from grouprune.sparse import (SparseConfig, coefficient_map, compute_gamma,
-                              layer_pseudo_groups, near_zero_fraction,
-                              refresh_gamma, regularizer_grad,
-                              regularizer_value, sparsity_groups, train_sparse)
+                              counted_group, layer_pseudo_groups,
+                              near_zero_fraction, refresh_gamma,
+                              regularizer_grad, regularizer_value,
+                              sparsity_groups, train_sparse)
 
 import toy_models
 from conftest import oracle_models
@@ -23,25 +24,33 @@ from reference import (fd_scalar, grad_rel_err,
 
 
 def _imp(values):
-    return GroupImportance("g", np.asarray(values, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64)
+
+
+def _counted(ir, groups, strategy):
+    """The regularized groups of a strategy, as train_sparse builds them,
+    and the member scope the reference oracles read for it."""
+    reg_groups = sparsity_groups(ir, groups, strategy)
+    scope = "conv" if strategy == "conv-only" else "full"
+    return reg_groups, [counted_group(ir, g, strategy) for g in reg_groups], scope
 
 
 # -- gamma schedule -----------------------------------------------------------
 
 
 def test_gamma_extremes_at_alpha_4():
-    g = compute_gamma(_imp([1.0, 3.0, 5.0]), alpha=4.0).gamma
+    g = compute_gamma(_imp([1.0, 3.0, 5.0]), alpha=4.0)
     np.testing.assert_allclose(g, [16.0, 4.0, 1.0])
 
 
 def test_gamma_max_importance_gets_one():
-    g = compute_gamma(_imp([0.2, 0.9]), alpha=4.0).gamma
+    g = compute_gamma(_imp([0.2, 0.9]), alpha=4.0)
     assert g[1] == 1.0
     assert g[0] == 16.0
 
 
 def test_gamma_degenerate_uniform_one():
-    g = compute_gamma(_imp([2.5, 2.5, 2.5]), alpha=4.0).gamma
+    g = compute_gamma(_imp([2.5, 2.5, 2.5]), alpha=4.0)
     np.testing.assert_array_equal(g, [1.0, 1.0, 1.0])
     assert np.isfinite(g).all()
 
@@ -50,7 +59,7 @@ def test_gamma_degenerate_uniform_one():
 @given(st.lists(st.floats(0, 1e9, allow_nan=False), min_size=1, max_size=40),
        st.floats(0, 8))
 def test_gamma_bounds(values, alpha):
-    g = compute_gamma(_imp(values), alpha).gamma
+    g = compute_gamma(_imp(values), alpha)
     assert (g >= 1.0 - 1e-12).all()
     assert (g <= 2.0 ** alpha + 1e-9).all()
 
@@ -61,7 +70,7 @@ def test_gamma_bounds(values, alpha):
 def test_regularizer_zero_weight_contributes_nothing():
     ir = zoo.residual_cnn()
     groups = extract_groups(build_depgraph(ir))
-    gammas = refresh_gamma(ir, groups, "full", 4.0)
+    gammas = refresh_gamma(ir, groups, 4.0)
     assert regularizer_grad(ir, groups, gammas, reg_weight=0.0) == {}
 
 
@@ -71,9 +80,8 @@ def test_regularizer_closed_form_single_slice():
     ir = NetworkIR(comps, [], (3,), [("fc", 0)])
     init_weights(ir, np.random.default_rng(0))
     groups = layer_pseudo_groups(ir)
-    uniform = {g.group_id: compute_gamma(
-        GroupImportance(g.group_id, np.ones(g.width)), 4.0)
-        for g in groups}
+    uniform = {g.group_id: compute_gamma(np.ones(g.width), 4.0)
+               for g in groups}
     grads = regularizer_grad(ir, groups, uniform, reg_weight=0.5)
     np.testing.assert_allclose(grads["fc.weight"], ir.weights["fc.weight"],
                                rtol=1e-6)
@@ -82,7 +90,7 @@ def test_regularizer_closed_form_single_slice():
 def test_regularizer_matches_finite_differences():
     ir = zoo.residual_cnn(seed=11)
     groups = extract_groups(build_depgraph(ir))
-    gammas = refresh_gamma(ir, groups, "full", 4.0)
+    gammas = refresh_gamma(ir, groups, 4.0)
     lam = 0.123
     grads = regularizer_grad(ir, groups, gammas, lam)
     fd = fd_scalar(lambda m: regularizer_value(m, groups, gammas, lam),
@@ -94,7 +102,7 @@ def test_regularizer_matches_finite_differences():
 def test_regularizer_skips_running_stats():
     ir = zoo.residual_cnn()
     groups = extract_groups(build_depgraph(ir))
-    gammas = refresh_gamma(ir, groups, "full", 4.0)
+    gammas = refresh_gamma(ir, groups, 4.0)
     grads = regularizer_grad(ir, groups, gammas, 1e-3)
     assert not any("running" in name for name in grads)
     assert "bn1.gamma" in grads and "bn1.beta" in grads
@@ -108,10 +116,10 @@ def test_regularizer_only_updates_shrink_group_norms():
     state = {}
     prev = None
     for _step in range(30):
-        gammas = refresh_gamma(ir, groups, "full", 4.0)
+        gammas = refresh_gamma(ir, groups, 4.0)
         grads = regularizer_grad(ir, groups, gammas, reg_weight=0.05)
         engine.sgd_step(ir, grads, state, lr=lr, momentum=0.0)
-        totals = np.array([group_l2_importance(ir, g).values.sum()
+        totals = np.array([group_l2_importance(ir, g).sum()
                            for g in groups])
         if prev is not None:
             assert (totals <= prev + 1e-9).all()
@@ -122,9 +130,9 @@ def test_regularizer_grad_matches_index_loop_oracle():
     for name, ir in oracle_models():
         groups = extract_groups(build_depgraph(ir))
         for strategy in ("full-grouping", "conv-only", "no-grouping"):
-            reg_groups, scope = sparsity_groups(ir, groups, strategy)
-            gammas = refresh_gamma(ir, reg_groups, scope, 4.0)
-            got = regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
+            reg_groups, counted, scope = _counted(ir, groups, strategy)
+            gammas = refresh_gamma(ir, counted, 4.0)
+            got = regularizer_grad(ir, counted, gammas, 0.37)
             want = reference_regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
             assert sorted(got) == sorted(want), (name, strategy)
             for tensor in want:
@@ -141,9 +149,9 @@ def test_regularizer_grad_signed_zeros_match_oracle():
         w.flat[:2] = (-0.0, -1e-45)
     groups = extract_groups(build_depgraph(ir))
     for strategy in ("full-grouping", "no-grouping"):
-        reg_groups, scope = sparsity_groups(ir, groups, strategy)
-        gammas = refresh_gamma(ir, reg_groups, scope, 4.0)
-        got = regularizer_grad(ir, reg_groups, gammas, 1e-4, scope)
+        reg_groups, counted, scope = _counted(ir, groups, strategy)
+        gammas = refresh_gamma(ir, counted, 4.0)
+        got = regularizer_grad(ir, counted, gammas, 1e-4)
         want = reference_regularizer_grad(ir, reg_groups, gammas, 1e-4, scope)
         for tensor in want:
             assert got[tensor].tobytes() == want[tensor].tobytes(), tensor
@@ -157,9 +165,9 @@ def test_regularizer_grad_is_float64_gradient_to_float32_rounding():
     for name, ir in oracle_models():
         groups = extract_groups(build_depgraph(ir))
         for strategy in ("full-grouping", "conv-only", "no-grouping"):
-            reg_groups, scope = sparsity_groups(ir, groups, strategy)
-            gammas = refresh_gamma(ir, reg_groups, scope, 4.0)
-            got = regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
+            reg_groups, counted, scope = _counted(ir, groups, strategy)
+            gammas = refresh_gamma(ir, counted, 4.0)
+            got = regularizer_grad(ir, counted, gammas, 0.37)
             exact = reference_regularizer_coefficients(ir, reg_groups, gammas,
                                                        0.37, scope)
             assert sorted(got) == sorted(exact), (name, strategy)
@@ -181,13 +189,13 @@ def test_regularizer_grad_in_blocks_matches_oracle(monkeypatch):
         groups = extract_groups(build_depgraph(ir))
         cases = [sparsity_groups(ir, groups, s)
                  for s in ("full-grouping", "no-grouping")]
-        cases += [([g], "full") for g in groups]
-        for reg_groups, scope in cases:
-            gammas = refresh_gamma(ir, reg_groups, scope, 4.0)
+        cases += [[g] for g in groups]
+        for reg_groups in cases:
+            gammas = refresh_gamma(ir, reg_groups, 4.0)
             task = {n: np.full_like(w, 0.25) for n, w in ir.weights.items()}
-            got = regularizer_grad(ir, reg_groups, gammas, 0.37, scope,
+            got = regularizer_grad(ir, reg_groups, gammas, 0.37,
                                    grads={n: g.copy() for n, g in task.items()})
-            want = reference_regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
+            want = reference_regularizer_grad(ir, reg_groups, gammas, 0.37)
             for tensor, reg in want.items():
                 assert got[tensor].tobytes() == (task[tensor] + reg).tobytes(), \
                     (name, [g.group_id for g in reg_groups], tensor)
@@ -217,16 +225,16 @@ def test_coefficient_map_rebuilt_at_each_gamma_refresh(model, monkeypatch):
         maps.append(coefficient_map(*args, **kwargs))
         return maps[-1]
 
-    def grad_spy(ir, groups, gammas, reg_weight, scope, *, coeffs, grads):
+    def grad_spy(ir, groups, gammas, reg_weight, *, coeffs, grads):
         # the map in use is the one the latest gammas define
         want = reference_regularizer_coefficients(ir, groups, latest[0],
-                                                  reg_weight, scope)
+                                                  reg_weight)
         assert sorted(coeffs) == sorted(want)
         for tensor, c in want.items():
             got = np.broadcast_to(coeffs[tensor], c.shape)
             assert got.tobytes() == c.astype(np.float32).tobytes(), tensor
         steps.append(1)
-        return regularizer_grad(ir, groups, gammas, reg_weight, scope,
+        return regularizer_grad(ir, groups, gammas, reg_weight,
                                 coeffs=coeffs, grads=grads)
 
     monkeypatch.setattr(sparse_mod, "refresh_gamma", refresh_spy)
@@ -285,8 +293,8 @@ def _reference_train(ir, dataset, cfg, groups):
     and the out-of-place momentum step."""
     x_all, y_all = dataset
     rng = np.random.default_rng(cfg.seed)
-    reg_groups, scope = sparsity_groups(ir, groups, cfg.strategy)
-    gammas = refresh_gamma(ir, reg_groups, scope, cfg.alpha)
+    reg_groups, counted, scope = _counted(ir, groups, cfg.strategy)
+    gammas = refresh_gamma(ir, counted, cfg.alpha)
     state = {}
     step = 0
     for _epoch in range(cfg.epochs):
@@ -303,7 +311,7 @@ def _reference_train(ir, dataset, cfg, groups):
             reference_sgd_step(ir, grads, state, cfg.lr, cfg.momentum)
             step += 1
             if step % cfg.refresh_period == 0:
-                gammas = refresh_gamma(ir, reg_groups, scope, cfg.alpha)
+                gammas = refresh_gamma(ir, counted, cfg.alpha)
     return ir
 
 
@@ -361,6 +369,24 @@ def test_training_records_trace_per_epoch():
     assert len(trace[0]["entries"]) == widths
     gid, k, imp = trace[0]["entries"][0]
     assert isinstance(gid, str) and isinstance(k, int) and imp >= 0
+
+
+def test_conv_only_trace_counts_every_member():
+    # conv-only regularizes the conv members alone, but the trace holds
+    # the importance of every member of the extracted groups, batchnorm
+    # and linear slices included, as under the other strategies
+    (xtr, ytr), _ = train_test_split(*shapes(n=64, seed=4), seed=4)
+    ir = zoo.residual_cnn(seed=4)
+    groups = extract_groups(build_depgraph(ir))
+    assert any(counted_group(ir, g, "conv-only").members != g.members
+               for g in groups)
+    cfg = SparseConfig(epochs=2, reg_weight=5e-2, lr=0.05, batch_size=16,
+                       strategy="conv-only", seed=4)
+    trained, trace = train_sparse(ir, (xtr, ytr), cfg, groups)
+    want = [(g.group_id, k, float(imp))
+            for g in groups
+            for k, imp in enumerate(group_l2_importance(trained, g))]
+    assert trace[-1]["entries"] == want
 
 
 def test_divergence_aborts_with_trace():
@@ -433,9 +459,12 @@ def test_grouped_sparsity_beats_layerwise_on_group_norms():
         groups = extract_groups(build_depgraph(ir))
         cfg = SparseConfig(epochs=6, reg_weight=2e-2, lr=0.05, batch_size=64,
                            strategy=strategy, seed=3, refresh_period=10)
-        _, trace = train_sparse(ir, (xtr, ytr), cfg, groups,
-                                trace_groups=groups)
-        near, _total = near_zero_fraction(trace[-1])
+        trained, _trace = train_sparse(ir, (xtr, ytr), cfg, groups)
+        final = {"epoch": cfg.epochs - 1, "entries": [
+            (g.group_id, k, float(imp))
+            for g in groups
+            for k, imp in enumerate(group_l2_importance(trained, g))]}
+        near, _total = near_zero_fraction(final)
         counts[strategy] = near
     assert counts["full-grouping"] >= counts["no-grouping"]
 
