@@ -11,6 +11,8 @@ count beforehand (sparse.counted_group); scoring reads every member.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import ConfigError
@@ -19,7 +21,8 @@ from .errors import ConfigError
 def sq_norms(w: np.ndarray, axis: int) -> np.ndarray:
     """Squared L2 norm of each slice of w along axis, in float64."""
     other = tuple(i for i in range(w.ndim) if i != axis)
-    return (w.astype(np.float64) ** 2).sum(axis=other)
+    w64 = w.astype(np.float64)
+    return np.square(w64, out=w64).sum(axis=other)
 
 
 def group_l2_importance(ir, group) -> np.ndarray:
@@ -47,7 +50,7 @@ def relative_score(values: np.ndarray, n: int) -> np.ndarray:
     k = len(values)
     if not (1 <= n <= k):
         raise ConfigError(f"topn must be in [1, {k}], got {n}")
-    order = sorted(range(k), key=lambda i: (-values[i], i))
+    order = np.argsort(-values, kind="stable")
     top_mass = float(values[order[:n]].sum())
     if top_mass == 0.0:
         return np.zeros(k, dtype=np.float64)
@@ -84,15 +87,30 @@ class PortGuard:
         return True
 
 
+def unit_sums(values, units) -> np.ndarray:
+    """Sum of values over each unit, in float64.
+
+    units partition the indices of values into ascending tuples, so
+    np.bincount adds each unit's values in index order from 0.0: the same
+    bytes as float(sum(values[i] for i in u)).
+    """
+    sizes = np.fromiter(map(len, units), dtype=np.int64, count=len(units))
+    owner = np.empty(len(values), dtype=np.int64)
+    owner[np.fromiter(chain.from_iterable(units), dtype=np.int64,
+                      count=len(values))] = np.repeat(np.arange(len(units)), sizes)
+    return np.bincount(owner, weights=values, minlength=len(units))
+
+
 def select_prune_indices(scores, ratio: float, min_keep: int = 1,
                          units=None, windows=()) -> tuple[int, ...]:
     """Lowest-scoring indices to prune, never leaving fewer than min_keep.
 
     Prunes floor(ratio*K) indices; ties are pruned lower-index first.
-    units, when given, are atomic index sets that must be selected
-    together (grouped convolutions); a unit's score is the sum of its
-    indices' scores. A unit that would take the last index of one of the
-    windows (see PortGuard) is skipped.
+    units, when given, partition the indices into atomic tuples that must
+    be selected together (grouped convolutions); a unit's score is the sum
+    of its indices' scores, and units are ordered once by (score, first
+    index). A unit that would take the last index of one of the windows
+    (see PortGuard) is skipped.
     """
     scores = np.asarray(scores, dtype=np.float64)
     k = len(scores)
@@ -103,16 +121,14 @@ def select_prune_indices(scores, ratio: float, min_keep: int = 1,
 
     if units is None:
         units = tuple((i,) for i in range(k))
-    unit_score = [(float(sum(scores[i] for i in u)), u[0], u) for u in units]
-    unit_score.sort(key=lambda t: (t[0], t[1]))
-
-    budget = int(ratio * k)
-    guard = PortGuard(windows)
+    first = np.array([u[0] for u in units], dtype=np.int64)
+    cap = min(int(ratio * k), k - min_keep)
+    guard = PortGuard(windows) if windows else None
     chosen: list[int] = []
-    for _, _, u in unit_score:
-        n = len(chosen) + len(u)
-        if n > budget or k - n < min_keep:
+    for j in np.lexsort((first, unit_sums(scores, units))).tolist():
+        u = units[j]
+        if len(chosen) + len(u) > cap:
             break
-        if guard.take(u):
+        if guard is None or guard.take(u):
             chosen.extend(u)
     return tuple(sorted(chosen))

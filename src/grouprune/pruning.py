@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .dependency import build_depgraph
 from .errors import ConfigError, PruneError
 from .grouping import Group, extract_groups
 from .importance import (PortGuard, default_topn, group_l2_importance,
-                         relative_score, select_prune_indices)
+                         relative_score, select_prune_indices, unit_sums)
 from .kinds import SPECS
 from .sparse import counted_group
 
@@ -104,8 +105,11 @@ def prunable_groups(ir, groups: list[Group]) -> list[Group]:
 # Applying a plan
 
 
-def _units_closed(group: Group, indices: set[int]) -> bool:
-    return all(set(u) <= indices or not (set(u) & indices) for u in group.units)
+def _units_closed(group: Group, mask: np.ndarray) -> bool:
+    """Whether the selection mask takes every unit whole or not at all."""
+    hit = unit_sums(mask.astype(np.float64), group.units)
+    size = np.fromiter(map(len, group.units), dtype=np.int64)
+    return bool(np.all((hit == 0) | (hit == size)))
 
 
 def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
@@ -115,13 +119,18 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
     fingerprint no longer matches (the IR changed since planning) is an
     error, as is a selection that violates atomic units or empties a
     group.
+
+    Every weight of the result is a fresh C-contiguous array that shares
+    no memory with the input, so a caller may train it in place. Each
+    tensor is copied once: a sliced one by one compress over a keep mask
+    per sliced axis, any other by a plain copy.
     """
     if groups is None:
         groups = extract_groups(build_depgraph(ir))
     by_id = {g.group_id: g for g in groups}
 
     half_removed: dict[str, list[int]] = {}
-    tensor_removed: dict[str, dict[int, set[int]]] = {}   # name -> axis -> locals
+    keep: dict[str, dict[int, np.ndarray]] = {}   # name -> axis -> kept locals
     raw_removed: set[int] | None = None
 
     for entry in plan.entries:
@@ -136,23 +145,25 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
             raise PruneError(f"{entry.group_id}: indices out of range")
         if len(sel) >= group.width:
             raise PruneError(f"{entry.group_id}: cannot prune every index")
-        if not _units_closed(group, sel):
+        mask = np.zeros(group.width, dtype=bool)
+        mask[list(sel)] = True
+        if not _units_closed(group, mask):
             raise PruneError(f"{entry.group_id}: selection splits an atomic "
                              "unit of a grouped convolution")
         if len(sel) > group.width - min_keep_for(ir, group):
             raise PruneError(f"{entry.group_id}: selection violates the "
                              f"minimum width {min_keep_for(ir, group)}")
 
-        mask = np.zeros(group.width, dtype=bool)
-        mask[list(sel)] = True
         for m in group.members:
             locals_hit = np.flatnonzero(mask[m.transform.canonical(m.half.channels)])
             if locals_hit.size:
                 half_removed[m.half.node_id] = locals_hit.tolist()
         for m, _role, name, axis in group.slices(ir):
             if m.half.node_id in half_removed:
-                (tensor_removed.setdefault(name, {}).setdefault(axis, set())
-                 .update(half_removed[m.half.node_id]))
+                axes = keep.setdefault(name, {})
+                if axis not in axes:
+                    axes[axis] = np.ones(ir.weights[name].shape[axis], dtype=bool)
+                axes[axis][half_removed[m.half.node_id]] = False
 
     # raw-input consistency: if any raw-fed input half is pruned, every raw
     # consumer must drop the same raw channels
@@ -174,10 +185,12 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
     # slice tensors
     new_weights = {}
     for name, arr in ir.weights.items():
-        out = arr
-        for axis, idx in sorted(tensor_removed.get(name, {}).items()):
-            out = np.delete(out, sorted(idx), axis=axis)
-        new_weights[name] = out.copy()
+        if name not in keep:
+            new_weights[name] = arr.copy()
+            continue
+        for axis, mask in sorted(keep[name].items()):
+            arr = np.compress(mask, arr, axis=axis)
+        new_weights[name] = arr
 
     # rebuild components with updated channel attributes
     new_components = []
@@ -209,35 +222,43 @@ def speedup(ir_base, ir_pruned) -> float:
     return base / pruned
 
 
-def _narrow(kept: dict[str, int], group: Group, indices) -> set[str]:
-    """Take the canonical indices out of the kept widths of the group's
-    member halves; returns the ids of the components whose widths moved."""
-    touched = set()
-    for m in group.members:
-        t = m.transform
-        end = t.delta + t.span(m.half.channels)
-        covered = sum(1 for k in indices if t.delta <= k < end)
+# Kept widths are a list indexed like ir.halves(): component i owns the
+# input half 2i and the output half 2i+1.
+
+
+def _member_table(group: Group) -> list[tuple[int, int, int, int]]:
+    """(half index, delta, end, factor) per member: canonical indices
+    [delta, end) each take factor channels out of that half."""
+    return [(m.half_index, m.transform.delta,
+             m.transform.delta + m.transform.span(m.half.channels),
+             m.transform.factor) for m in group.members]
+
+
+def _narrow(kept: list[int], table, indices) -> None:
+    """Take the ascending canonical indices out of the kept widths of the
+    members in table."""
+    for h, delta, end, factor in table:
+        covered = bisect_left(indices, end) - bisect_left(indices, delta)
         if covered:
-            kept[m.half.node_id] -= t.factor * covered
-            touched.add(m.half.component_id)
-    return touched
+            kept[h] -= factor * covered
 
 
-def _macs_at(comp, shapes, kept: dict[str, int]) -> int:
-    cid = comp.comp_id
-    return engine.component_macs(comp, shapes[cid], kept[f"{cid}:in"],
-                                 kept[f"{cid}:out"])
+def _macs_at(ir, shapes, kept: list[int], i: int) -> int:
+    """engine.component_macs of component i at the kept widths."""
+    c = ir.components[i]
+    return engine.component_macs(c, shapes[c.comp_id], kept[2 * i],
+                                 kept[2 * i + 1])
 
 
 def plan_macs(ir, groups: list[Group], plan: PrunePlan) -> int:
     """MACs of prune(ir, plan, groups) without building it: every
     component's engine.component_macs at the kept widths the plan leaves."""
     by_id = {g.group_id: g for g in groups}
-    kept = {h.node_id: h.channels for h in ir.halves()}
+    kept = [h.channels for h in ir.halves()]
     for e in plan.entries:
-        _narrow(kept, by_id[e.group_id], e.indices)
+        _narrow(kept, _member_table(by_id[e.group_id]), sorted(e.indices))
     shapes = engine.infer_shapes(ir)
-    return sum(_macs_at(c, shapes, kept) for c in ir.components)
+    return sum(_macs_at(ir, shapes, kept, i) for i in range(len(ir.components)))
 
 
 def format_speedup_line(base_macs: int, pruned_macs: int) -> str:
@@ -288,53 +309,67 @@ def build_learned_plan(ir, groups, macs_fraction: float,
     honoring per-group min_keep and skipping any unit that would empty a
     concat/split port window.
 
-    MACs are tracked incrementally: every half keeps a count of its kept
-    channels, and accepting a unit narrows only its own group's members
-    and recomputes only the conv/linear components they belong to. Beyond
-    scoring the groups, the cost is O(H + U log U + M) for H halves, U
-    candidate units and M (member, canonical index) pairs of the eligible
-    groups.
+    A unit's score is the mean of its indices' scores. Candidates are
+    ordered once by (score, group id, first index) with one np.lexsort
+    over the concatenated per-group arrays, and walked in that order over
+    tables built once: kept widths per half, MACs per component, each
+    group's _member_table and a min_keep budget per group. Accepting a
+    unit costs one _narrow (two bisections per member of its group) plus
+    one engine.component_macs per component those members belong to, and
+    a PortGuard.take only in groups with port windows. plan_macs narrows
+    and counts with the same _narrow and _macs_at. Beyond scoring the
+    groups, the cost is O(H + U log U + A*M) for H halves, U candidate
+    units, A accepted units and M members per group.
     """
     if not (0 < macs_fraction <= 1):
         raise ValueError("macs_fraction must be in (0, 1]")
     shapes = engine.infer_shapes(ir)
     eligible = prunable_groups(ir, groups)
-
-    kept = {h.node_id: h.channels for h in ir.halves()}
-    macs = {c.comp_id: _macs_at(c, shapes, kept) for c in ir.components}
-    base = sum(macs.values())
+    kept = [h.channels for h in ir.halves()]
+    macs = [_macs_at(ir, shapes, kept, i) for i in range(len(ir.components))]
+    base = sum(macs)
     target = macs_fraction * base
 
-    candidates = []
+    units = [u for g in eligible for u in g.units]
+    owner = [gi for gi, g in enumerate(eligible) for _ in g.units]
+    avg = [np.empty(0)]   # np.concatenate needs one array if none is eligible
     for g in eligible:
         scores = scores_for_strategy(ir, g, strategy, topn, rng)
-        for u in g.units:
-            avg = float(sum(scores[i] for i in u)) / len(u)
-            candidates.append((avg, g.group_id, u))
-    candidates.sort(key=lambda t: (t[0], t[1], t[2][0]))
+        avg.append(unit_sums(scores, g.units)
+                   / np.fromiter(map(len, g.units), dtype=np.int64))
+    by_rank = {gid: r for r, gid in enumerate(sorted(g.group_id for g in eligible))}
+    rank = [by_rank[g.group_id] for g in eligible]
+    order = np.lexsort((np.array([u[0] for u in units], dtype=np.int64),
+                        np.array([rank[gi] for gi in owner], dtype=np.int64),
+                        np.concatenate(avg)))
 
-    by_id = {g.group_id: g for g in eligible}
-    min_keep = {g.group_id: min_keep_for(ir, g) for g in eligible}
-    guards = {g.group_id: PortGuard(g.port_windows(ir)) for g in eligible}
-    selected: dict[str, set[int]] = {g.group_id: set() for g in eligible}
+    tables = [_member_table(g) for g in eligible]
+    member_comps = [sorted({m.half_index // 2 for m in g.members})
+                    for g in eligible]
+    budget = [g.width - min_keep_for(ir, g) for g in eligible]
+    guards = [PortGuard(w) if (w := g.port_windows(ir)) else None
+              for g in eligible]
+    selected: list[list[int]] = [[] for _ in eligible]
     current = base
-    for _avg, gid, unit in candidates:
+    for c in order.tolist():
         if current <= target:
             break
-        group = by_id[gid]
-        if (group.width - len(selected[gid]) - len(unit) < min_keep[gid]
-                or not guards[gid].take(unit)):
+        gi, unit = owner[c], units[c]
+        guard = guards[gi]
+        if len(unit) > budget[gi] or not (guard is None or guard.take(unit)):
             continue
-        selected[gid].update(unit)
-        for cid in _narrow(kept, group, unit):
-            new = _macs_at(ir.component(cid), shapes, kept)
-            current += new - macs[cid]
-            macs[cid] = new
+        budget[gi] -= len(unit)
+        selected[gi].extend(unit)
+        _narrow(kept, tables[gi], unit)
+        for i in member_comps[gi]:
+            new = _macs_at(ir, shapes, kept, i)
+            current += new - macs[i]
+            macs[i] = new
     plan = PrunePlan(provenance={"criterion": strategy, "mode": "learned",
                                  "macs_fraction": macs_fraction})
-    for g in eligible:
+    for g, sel in zip(eligible, selected):
         plan.entries.append(PlanEntry(g.group_id, g.fingerprint,
-                                      tuple(sorted(selected[g.group_id]))))
+                                      tuple(sorted(sel))))
     return plan
 
 

@@ -11,7 +11,9 @@ Neither shares code with grouprune.engine.
 
 The graph oracles check grouping, and reference_learned_plan is the
 learned prune plan as a full recount of kept widths and MACs after every
-accepted unit, with its own MAC formula.
+accepted unit, with its own MAC formula. reference_relative_score and
+reference_select_prune_indices order indices with a sorted() key and check
+port windows as sets.
 
 The group-index oracles walk a group one canonical index at a time
 through transform_locals, the literal definition of an index transform:
@@ -529,6 +531,39 @@ def reference_learned_plan(ir, groups, macs_fraction: float,
         plan.entries.append(PlanEntry(g.group_id, g.fingerprint,
                                       tuple(sorted(selected[g.group_id]))))
     return plan
+
+
+def reference_relative_score(values: np.ndarray, n: int) -> np.ndarray:
+    """importance.relative_score with the TopN cut taken by a sorted() key:
+    descending value, ties toward the lower index."""
+    k = len(values)
+    order = sorted(range(k), key=lambda i: (-values[i], i))
+    top_mass = float(values[order[:n]].sum())
+    if top_mass == 0.0:
+        return np.zeros(k, dtype=np.float64)
+    return n * values / top_mass
+
+
+def reference_select_prune_indices(scores, ratio: float, min_keep: int = 1,
+                                   units=None, windows=()) -> tuple[int, ...]:
+    """importance.select_prune_indices with units ordered by a sorted() key
+    (summed score, first index), skipping a unit when the selection with it
+    would cover a whole window."""
+    scores = np.asarray(scores, dtype=np.float64)
+    k = len(scores)
+    if units is None:
+        units = tuple((i,) for i in range(k))
+    unit_score = [(float(sum(scores[i] for i in u)), u[0], u) for u in units]
+    unit_score.sort(key=lambda t: (t[0], t[1]))
+    budget = int(ratio * k)
+    chosen: set[int] = set()
+    for _, _, u in unit_score:
+        n = len(chosen) + len(u)
+        if n > budget or k - n < min_keep:
+            break
+        if not any(set(w) <= chosen | set(u) for w in windows):
+            chosen.update(u)
+    return tuple(sorted(chosen))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from grouprune import zoo
 from grouprune.dependency import INTER, INTRA, build_depgraph, export_depgraph
 from grouprune.errors import GroupruneError
-from grouprune.ir import NetworkIR, batchnorm, conv2d, init_weights, linear
+from grouprune.ir import NetworkIR, batchnorm, conv2d, init_weights
 from random_nets import random_ir
 import toy_models
 

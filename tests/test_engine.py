@@ -13,7 +13,7 @@ from random_nets import random_ir
 import toy_models
 
 from grouprune.kinds import SPECS
-from reference import (fd_param_grads, grad_rel_err, ref_forward,
+from reference import (fd_param_grads, grad_rel_err,
                        reference_batchnorm_backward, reference_batchnorm_forward,
                        rel_err, scalar_conv2d_input_grad, scalar_forward,
                        trainable_param_names)

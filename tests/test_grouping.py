@@ -5,8 +5,8 @@ from grouprune.dependency import build_depgraph
 from grouprune.errors import GroupingError
 from grouprune.grouping import (IndexTransform, derive_grouping_matrix,
                                 export_grouping, extract_groups, group_report)
-from grouprune.ir import (NetworkIR, activation, conv2d, eltwise, init_weights,
-                          linear, split)
+from grouprune.ir import (NetworkIR, activation, eltwise, init_weights, linear,
+                          split)
 from random_nets import random_ir
 import toy_models
 

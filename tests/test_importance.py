@@ -12,12 +12,14 @@ from grouprune import zoo
 from grouprune.dependency import build_depgraph
 from grouprune.grouping import extract_groups
 from grouprune.importance import (default_topn, group_l2_importance,
-                                  relative_score, select_prune_indices)
+                                  relative_score, select_prune_indices,
+                                  unit_sums)
 from grouprune.sparse import STRATEGIES, counted_group, layer_pseudo_groups
 
 import toy_models
 from conftest import oracle_models
-from reference import (reference_group_l2_importance, reference_scope,
+from reference import (reference_group_l2_importance, reference_relative_score,
+                       reference_scope, reference_select_prune_indices,
                        transform_locals)
 
 
@@ -270,3 +272,68 @@ def test_select_rejects_bad_args():
         select_prune_indices([1, 2], ratio=1.0)
     with pytest.raises(ValueError):
         select_prune_indices([1, 2], ratio=0.5, min_keep=0)
+
+
+# -- ordering against the sorted()-key oracles --------------------------------
+
+
+def _score_cases():
+    """Score vectors with ties, zeros and all zeros."""
+    rng = np.random.default_rng(7)
+    yield np.zeros(9)
+    yield np.array([3.0, 0.0, 3.0, 1.0, 0.0, 3.0, 1.0, 3.0])
+    for size in (1, 2, 17, 40):
+        yield rng.integers(0, 3, size=size).astype(np.float64)
+        yield rng.random(size) * (rng.random(size) < 0.7)
+
+
+def test_relative_score_matches_sorted_oracle():
+    for values in _score_cases():
+        for n in range(1, len(values) + 1):
+            got = relative_score(values, n)
+            want = reference_relative_score(values, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _runs(rng, k, longest):
+    """Consecutive runs of 1..longest indices covering range(k)."""
+    runs, lo = [], 0
+    while lo < k:
+        hi = min(k, lo + int(rng.integers(1, longest + 1)))
+        runs.append(tuple(range(lo, hi)))
+        lo = hi
+    return runs
+
+
+def test_select_prune_indices_matches_sorted_oracle():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for case in range(60):
+        k = int(rng.integers(2, 25))
+        scores = rng.integers(0, 3, size=k).astype(np.float64)
+        if case % 5 == 0:
+            scores[:] = 0.0
+        units = (None, tuple(_runs(rng, k, 1)), tuple(_runs(rng, k, 3)))[case % 3]
+        windows = ([], [set(w) for w in _runs(rng, k, 4)],
+                   [set(w) for w in _runs(rng, k, 6) + _runs(rng, k, 3)])[case // 3 % 3]
+        for ratio in (0.0, 0.25, 0.5, 0.75, 0.95):
+            for min_keep in (1, 2):
+                got = select_prune_indices(scores, ratio, min_keep, units, windows)
+                want = reference_select_prune_indices(scores, ratio, min_keep,
+                                                      units, windows)
+                assert got == want, (case, ratio, min_keep)
+                checked += bool(got)
+    assert checked > 100
+
+
+def test_unit_sums_match_python_sums():
+    """np.bincount over a partition into ascending runs adds in the same
+    order as float(sum(...)), so the bytes match."""
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 9, 40, 300):
+        for longest in (1, 3, 8):
+            values = rng.random(k) * 10.0 ** rng.integers(-8, 8, size=k)
+            units = _runs(rng, k, longest)
+            want = np.array([float(sum(values[i] for i in u)) for u in units])
+            got = unit_sums(values, units)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

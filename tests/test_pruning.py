@@ -325,6 +325,47 @@ def test_learned_plan_matches_recounting_oracle():
                     _plan_macs(ir, groups, plan), case
 
 
+def test_learned_plan_matches_recounting_oracle_on_wide_groups():
+    """288 candidate units, 96 per group, so the one-lexsort order and
+    the integer walk see long runs of accepted and skipped candidates."""
+    ir = zoo.mlp([2, 96, 96, 96, 2], seed=4)
+    groups = extract_groups(build_depgraph(ir))
+    for strategy in STRATEGIES:
+        for fraction in MACS_FRACTIONS:
+            case = (strategy, fraction)
+            plan = build_learned_plan(ir, groups, fraction, strategy,
+                                      rng=np.random.default_rng(3))
+            want = reference_learned_plan(ir, groups, fraction, strategy,
+                                          rng=np.random.default_rng(3))
+            assert plan.entries == want.entries, case
+            if fraction < 1:
+                assert sum(len(e.indices) for e in plan.entries) > 30, case
+
+
+def test_prune_owns_its_result():
+    """Every pruned tensor is a fresh C-contiguous float32 array, so
+    fine-tuning it in place leaves the source IR alone."""
+    sliced = 0
+    for name, ir in oracle_models():
+        groups = extract_groups(build_depgraph(ir))
+        before = {n: w.copy() for n, w in ir.weights.items()}
+        for strategy in ("full-grouping", "random"):
+            for build in (build_uniform_plan, build_learned_plan):
+                plan = build(ir, groups, 0.5, strategy,
+                             rng=np.random.default_rng(1))
+                pruned = prune(ir, plan, groups)
+                sliced += sum(w.shape != ir.weights[n].shape
+                              for n, w in pruned.weights.items())
+                for n, w in pruned.weights.items():
+                    case = (name, strategy, build.__name__, n)
+                    assert w.dtype == np.float32 and w.flags.c_contiguous, case
+                    assert not any(np.shares_memory(w, src)
+                                   for src in ir.weights.values()), case
+        for n, w in ir.weights.items():
+            assert w.tobytes() == before[n].tobytes(), (name, n)
+    assert sliced > 100
+
+
 def test_plan_macs_counts_uniform_plans_as_prune_does():
     for name, ir in oracle_models():
         groups = extract_groups(build_depgraph(ir))
