@@ -5,8 +5,10 @@ model sparse-trained under the strategy to the target speedup with uniform
 or learned layer sparsity, fine-tune briefly, and report test accuracy.
 Training reads only the dataset, strategy, seed and config, so the grid
 trains one model per (strategy, seed) and every (target, mode) cell of it
-starts from that model. A uniform cell prunes once, its plan found with
-pruning.plan_macs; the cell seed drives every stochastic choice.
+starts from that model. A cell scores its groups once
+(pruning.group_scores) and both modes only select from those scores; a
+uniform cell prunes once, its plan found with pruning.plan_macs. The cell
+seed drives every stochastic choice.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .dependency import build_depgraph
 from .errors import ConfigError
 from .grouping import extract_groups
 from .pruning import (PrunePlan, build_learned_plan, build_uniform_plan,
-                      plan_macs, prunable_groups, prune, speedup)
+                      group_scores, plan_macs, prune, speedup)
 from .sparse import STRATEGIES, SparseConfig, train_sparse
 
 FINETUNE_EPOCHS = 5
@@ -57,19 +59,20 @@ def make_data(dataset: str, seed: int):
     return train_test_split(x, y, test_fraction=0.25, seed=seed)
 
 
-def uniform_plan_for_speedup(ir, groups, target: float, strategy: str,
-                             rng_seed: int) -> PrunePlan:
-    """The uniform plan of the smallest ratio in [0, 0.95] whose speedup
-    reaches target, or of 0.95 if none does.
+def uniform_plan_for_speedup(ir, groups, scores: dict[str, np.ndarray],
+                             target: float) -> PrunePlan:
+    """The uniform plan from scores (pruning.group_scores) of the smallest
+    ratio in [0, 0.95] whose speedup reaches target, or of 0.95 if none
+    does.
 
-    An eligible group of width k prunes int(ratio * k) indices, so the
+    A scored group of width k prunes int(ratio * k) indices, so the
     candidates are 0, 0.95 and the smallest ratio of each step j (the
-    float j / k can sit on either side of it). Every probe scores with a
-    fresh default_rng(rng_seed), so plan_macs falls as the ratio grows and
-    a bisection finds the smallest candidate that reaches the target.
+    float j / k can sit on either side of it). The selections only grow
+    with the ratio, so plan_macs falls as it grows and a bisection finds
+    the smallest candidate that reaches the target.
     """
     steps = set()
-    for k in {g.width for g in prunable_groups(ir, groups)}:
+    for k in {len(s) for s in scores.values()}:
         for j in range(1, k):
             r = j / k
             while int(r * k) < j:
@@ -79,14 +82,11 @@ def uniform_plan_for_speedup(ir, groups, target: float, strategy: str,
             steps.add(r)
     candidates = [0.0, *sorted(r for r in steps if r < 0.95), 0.95]
 
-    def plan_at(ratio):
-        return build_uniform_plan(ir, groups, ratio, strategy,
-                                  rng=np.random.default_rng(rng_seed))
-
     base = plan_macs(ir, groups, PrunePlan())
     i = bisect.bisect_left(candidates, True, key=lambda r: base / plan_macs(
-        ir, groups, plan_at(r)) >= target)
-    return plan_at(candidates[min(i, len(candidates) - 1)])
+        ir, groups, build_uniform_plan(ir, groups, scores, r)) >= target)
+    return build_uniform_plan(ir, groups, scores,
+                              candidates[min(i, len(candidates) - 1)])
 
 
 def train_cell_model(dataset: str, strategy: str, seed: int,
@@ -113,12 +113,12 @@ def run_cell(trained, strategy: str, target_speedup: float, mode: str,
     The trained IR is only read: prune copies every tensor it keeps, and
     the fine-tune trains that copy."""
     ir, groups, ((x_tr, y_tr), (x_te, y_te)) = trained
+    scores = group_scores(ir, groups, strategy,
+                          rng=np.random.default_rng(seed + 1))
     if mode == "uniform":
-        plan = uniform_plan_for_speedup(ir, groups, target_speedup, strategy,
-                                        seed + 1)
+        plan = uniform_plan_for_speedup(ir, groups, scores, target_speedup)
     else:
-        plan = build_learned_plan(ir, groups, 1.0 / target_speedup, strategy,
-                                  rng=np.random.default_rng(seed + 1))
+        plan = build_learned_plan(ir, groups, scores, 1.0 / target_speedup)
     pruned = prune(ir, plan, groups)
     achieved = speedup(ir, pruned)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+from dataclasses import replace
 
 from . import engine
 from .ablate import make_data, run_ablation
@@ -55,21 +56,20 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _configured(cfg: SparseConfig, **options) -> SparseConfig:
+    """cfg with every option the command line gave (not None); replace
+    reruns SparseConfig's checks on the result."""
+    return replace(cfg, **{k: v for k, v in options.items() if v is not None})
+
+
 def cmd_train(args) -> int:
     ir = load_model(args.model)
     if args.data not in DATASETS:
         raise ConfigError(f"unknown dataset {args.data!r}")
-    if args.config:
-        cfg = SparseConfig.from_json(args.config)
-    else:
-        cfg = SparseConfig()
-    overrides = {"alpha": args.alpha, "reg_weight": args.reg_weight,
-                 "epochs": args.epochs, "lr": args.lr, "seed": args.seed,
-                 "strategy": args.strategy}
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.__post_init__()
+    cfg = _configured(
+        SparseConfig.from_json(args.config) if args.config else SparseConfig(),
+        alpha=args.alpha, reg_weight=args.reg_weight, epochs=args.epochs,
+        lr=args.lr, seed=args.seed, strategy=args.strategy)
 
     (x_tr, y_tr), (x_te, y_te) = make_data(args.data, cfg.seed)
     groups = extract_groups(build_depgraph(ir))
@@ -132,9 +132,8 @@ def cmd_ablate(args) -> int:
     modes = _comma_list("modes", args.modes, str,
                         lambda m: m in ("uniform", "learned"))
     seeds = _comma_list("seeds", args.seeds, int, lambda s: s >= 0)
-    cfg = SparseConfig(epochs=args.epochs, reg_weight=args.reg_weight
-                       if args.reg_weight is not None else 5e-3,
-                       alpha=args.alpha if args.alpha is not None else 4.0)
+    cfg = _configured(SparseConfig(reg_weight=5e-3), epochs=args.epochs,
+                      alpha=args.alpha, reg_weight=args.reg_weight)
     table, cells = run_ablation(args.data, strategies, speedups, modes, seeds,
                                 cfg)
     out = _out_dir(args)

@@ -123,14 +123,6 @@ def eltwise(comp_id: str, channels: int, op: str = "add") -> Component:
     return Component(comp_id, "eltwise", {"channels": channels, "op": op})
 
 
-def concat(comp_id: str, sizes: list[int]) -> Component:
-    return Component(comp_id, "concat", {"sizes": list(sizes)})
-
-
-def split(comp_id: str, sizes: list[int]) -> Component:
-    return Component(comp_id, "split", {"sizes": list(sizes)})
-
-
 def flatten(comp_id: str, channels: int, spatial_size: int) -> Component:
     return Component(comp_id, "flatten",
                      {"channels": channels, "spatial_size": spatial_size})

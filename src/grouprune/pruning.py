@@ -270,29 +270,33 @@ def format_speedup_line(base_macs: int, pruned_macs: int) -> str:
 # Plan construction
 
 
-def scores_for_strategy(ir, group: Group, strategy: str,
-                        topn: int | None = None,
-                        rng: np.random.Generator | None = None) -> np.ndarray:
-    """Selection scores per canonical index under an ablation strategy."""
-    if strategy == "random":
-        if rng is None:
-            raise ValueError("random criterion needs an rng")
-        return rng.random(group.width)
-    imp = group_l2_importance(ir, counted_group(ir, group, strategy))
-    return relative_score(imp, topn or default_topn(group.width))
+def group_scores(ir, groups, strategy: str, topn: int | None = None,
+                 rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
+    """Selection scores per canonical index of every group that
+    prunable_groups lets a plan prune, keyed by group id in group order.
+    This is the only scoring a plan gets: the builders select from it.
+
+    The random criterion draws one rng.random(width) per group, in that
+    order; any other strategy scores relative_score of the group's L2
+    importance over its counted_group.
+    """
+    if strategy == "random" and rng is None:
+        raise ValueError("random criterion needs an rng")
+    return {g.group_id: rng.random(g.width) if strategy == "random"
+            else relative_score(group_l2_importance(
+                ir, counted_group(ir, g, strategy)),
+                topn or default_topn(g.width))
+            for g in prunable_groups(ir, groups)}
 
 
-def build_uniform_plan(ir, groups, ratio: float, strategy: str = "full-grouping",
-                       topn: int | None = None,
-                       rng: np.random.Generator | None = None) -> PrunePlan:
-    """Same prune ratio in every eligible group: floor(ratio * width)
-    lowest-scoring indices, honoring min_keep, atomic units and the
-    group's concat/split port windows."""
-    plan = PrunePlan(provenance={"criterion": strategy, "mode": "uniform",
-                                 "ratio": ratio})
-    for group in prunable_groups(ir, groups):
-        scores = scores_for_strategy(ir, group, strategy, topn, rng)
-        sel = select_prune_indices(scores, ratio=ratio,
+def build_uniform_plan(ir, groups, scores: dict[str, np.ndarray],
+                       ratio: float) -> PrunePlan:
+    """Same prune ratio in every group that scores names: the
+    floor(ratio * width) lowest-scoring indices, honoring min_keep, atomic
+    units and the group's concat/split port windows."""
+    plan = PrunePlan(provenance={"mode": "uniform", "ratio": ratio})
+    for group in (g for g in groups if g.group_id in scores):
+        sel = select_prune_indices(scores[group.group_id], ratio=ratio,
                                    min_keep=min_keep_for(ir, group),
                                    units=group.units,
                                    windows=group.port_windows(ir))
@@ -300,14 +304,12 @@ def build_uniform_plan(ir, groups, ratio: float, strategy: str = "full-grouping"
     return plan
 
 
-def build_learned_plan(ir, groups, macs_fraction: float,
-                       strategy: str = "full-grouping",
-                       topn: int | None = None,
-                       rng: np.random.Generator | None = None) -> PrunePlan:
+def build_learned_plan(ir, groups, scores: dict[str, np.ndarray],
+                       macs_fraction: float) -> PrunePlan:
     """Global-threshold selection: greedily remove the lowest-scoring
-    units across all groups until MACs drop to macs_fraction of the base,
-    honoring per-group min_keep and skipping any unit that would empty a
-    concat/split port window.
+    units across the groups that scores names until MACs drop to
+    macs_fraction of the base, honoring per-group min_keep and skipping
+    any unit that would empty a concat/split port window.
 
     A unit's score is the mean of its indices' scores. Candidates are
     ordered once by (score, group id, first index) with one np.lexsort
@@ -315,16 +317,18 @@ def build_learned_plan(ir, groups, macs_fraction: float,
     tables built once: kept widths per half, MACs per component, each
     group's _member_table and a min_keep budget per group. Accepting a
     unit costs one _narrow (two bisections per member of its group) plus
-    one engine.component_macs per component those members belong to, and
-    a PortGuard.take only in groups with port windows. plan_macs narrows
-    and counts with the same _narrow and _macs_at. Beyond scoring the
-    groups, the cost is O(H + U log U + A*M) for H halves, U candidate
-    units, A accepted units and M members per group.
+    one engine.component_macs per component of those members with MACs
+    at full width (a MAC formula is a product of widths, so a component
+    at zero stays there), and a PortGuard.take only in groups with port
+    windows. plan_macs narrows and counts with the same _narrow and
+    _macs_at. The caller scores the groups; the cost here is
+    O(H + U log U + A*M) for H halves, U candidate units, A accepted
+    units and M members per group.
     """
     if not (0 < macs_fraction <= 1):
         raise ValueError("macs_fraction must be in (0, 1]")
     shapes = engine.infer_shapes(ir)
-    eligible = prunable_groups(ir, groups)
+    eligible = [g for g in groups if g.group_id in scores]
     kept = [h.channels for h in ir.halves()]
     macs = [_macs_at(ir, shapes, kept, i) for i in range(len(ir.components))]
     base = sum(macs)
@@ -334,8 +338,7 @@ def build_learned_plan(ir, groups, macs_fraction: float,
     owner = [gi for gi, g in enumerate(eligible) for _ in g.units]
     avg = [np.empty(0)]   # np.concatenate needs one array if none is eligible
     for g in eligible:
-        scores = scores_for_strategy(ir, g, strategy, topn, rng)
-        avg.append(unit_sums(scores, g.units)
+        avg.append(unit_sums(scores[g.group_id], g.units)
                    / np.fromiter(map(len, g.units), dtype=np.int64))
     by_rank = {gid: r for r, gid in enumerate(sorted(g.group_id for g in eligible))}
     rank = [by_rank[g.group_id] for g in eligible]
@@ -344,8 +347,8 @@ def build_learned_plan(ir, groups, macs_fraction: float,
                         np.concatenate(avg)))
 
     tables = [_member_table(g) for g in eligible]
-    member_comps = [sorted({m.half_index // 2 for m in g.members})
-                    for g in eligible]
+    member_comps = [sorted(i for i in {m.half_index // 2 for m in g.members}
+                           if macs[i]) for g in eligible]
     budget = [g.width - min_keep_for(ir, g) for g in eligible]
     guards = [PortGuard(w) if (w := g.port_windows(ir)) else None
               for g in eligible]
@@ -365,7 +368,7 @@ def build_learned_plan(ir, groups, macs_fraction: float,
             new = _macs_at(ir, shapes, kept, i)
             current += new - macs[i]
             macs[i] = new
-    plan = PrunePlan(provenance={"criterion": strategy, "mode": "learned",
+    plan = PrunePlan(provenance={"mode": "learned",
                                  "macs_fraction": macs_fraction})
     for g, sel in zip(eligible, selected):
         plan.entries.append(PlanEntry(g.group_id, g.fingerprint,
@@ -390,11 +393,13 @@ def end_to_end_prune(ir, ratio: float, mode: str = "uniform",
         raise ConfigError(f"seed must be >= 0, got {seed}")
     d = build_depgraph(ir)
     groups = extract_groups(d)
-    rng = np.random.default_rng(seed)
+    scores = group_scores(ir, groups, strategy, topn,
+                          np.random.default_rng(seed))
     if mode == "uniform":
-        plan = build_uniform_plan(ir, groups, ratio, strategy, topn, rng)
+        plan = build_uniform_plan(ir, groups, scores, ratio)
     else:
-        plan = build_learned_plan(ir, groups, 1.0 - ratio, strategy, topn, rng)
+        plan = build_learned_plan(ir, groups, scores, 1.0 - ratio)
+    plan.provenance["criterion"] = strategy
     plan.provenance["config_hash"] = config_hash(
         {"ratio": ratio, "mode": mode, "strategy": strategy,
          "topn": topn, "seed": seed})

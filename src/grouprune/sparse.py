@@ -32,7 +32,7 @@ from . import engine
 from .engine import _CHUNK
 from .errors import ConfigError, ShapeError, TrainingDiverged
 from .grouping import Group, GroupMember, IndexTransform, selection_units
-from .importance import group_l2_importance, sq_norms
+from .importance import group_l2_importance
 from .kinds import BUFFER_ROLES, SPECS
 
 STRATEGIES = ("full-grouping", "conv-only", "no-grouping", "random")
@@ -208,13 +208,6 @@ def regularizer_grad(ir, groups, gammas: dict[str, np.ndarray],
     return grads
 
 
-def regularizer_value(ir, groups, gammas, reg_weight: float) -> float:
-    """Scalar value of the regularizer; finite-difference oracle target."""
-    total = sum(float(coeff @ sq_norms(ir.weights[name], axis))
-                for name, axis, coeff in _weighted_slices(ir, groups, gammas))
-    return reg_weight * total
-
-
 def layer_pseudo_groups(ir) -> list[Group]:
     """One pseudo-group per layer with a weight: its output half alone.
 
@@ -322,21 +315,3 @@ def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group]):
                            for k in range(g.width))
         trace.append({"epoch": epoch, "entries": entries})
     return ir, trace
-
-
-def near_zero_fraction(trace_epoch, threshold: float = 0.01):
-    """Count of indices with importance below threshold * group max, and
-    the total number of indices, for one trace epoch."""
-    by_group: dict[str, list[float]] = {}
-    for gid, _k, imp in trace_epoch["entries"]:
-        by_group.setdefault(gid, []).append(imp)
-    near = 0
-    total = 0
-    for values in by_group.values():
-        top = max(values)
-        if top <= 0:
-            near += len(values)
-        else:
-            near += sum(1 for v in values if v < threshold * top)
-        total += len(values)
-    return near, total

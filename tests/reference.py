@@ -39,6 +39,11 @@ fresh model for the cell, then prunes, fine-tunes and scores it. Its
 uniform cells take their ratio from reference_uniform_ratio_for_speedup,
 a continuous bisection that prunes and counts every probe.
 
+regularizer_value is the regularizer's scalar value, the target that
+finite differences check regularizer_grad against, and near_zero_fraction
+counts the near-zero indices of a trace epoch. Nothing in the package
+calls either.
+
 read_csv parses the CSV files the package writes, and
 trainable_param_names lists the tensors SGD trains.
 """
@@ -471,15 +476,14 @@ def reference_port_windows(ir, group) -> list[set[int]]:
     return windows
 
 
-def reference_learned_plan(ir, groups, macs_fraction: float,
-                           strategy: str = "full-grouping",
-                           topn: int | None = None, rng=None):
-    """Same contract as pruning.build_learned_plan, in O(units x halves):
-    a unit is skipped when it breaks min_keep or when the group's selection
-    with it would cover a whole concat/split port window."""
+def reference_learned_plan(ir, groups, scores, macs_fraction: float):
+    """Same contract as pruning.build_learned_plan, in O(units x halves),
+    over the prunable groups, each scored by scores[group id]: a unit is
+    skipped when it breaks min_keep or when the group's selection with it
+    would cover a whole concat/split port window."""
     from grouprune.engine import infer_shapes
     from grouprune.pruning import (PlanEntry, PrunePlan, min_keep_for,
-                                   prunable_groups, scores_for_strategy)
+                                   prunable_groups)
 
     if not (0 < macs_fraction <= 1):
         raise ValueError("macs_fraction must be in (0, 1]")
@@ -506,9 +510,8 @@ def reference_learned_plan(ir, groups, macs_fraction: float,
 
     candidates = []
     for g in eligible:
-        scores = scores_for_strategy(ir, g, strategy, topn, rng)
         for u in g.units:
-            avg = float(sum(scores[i] for i in u)) / len(u)
+            avg = float(sum(scores[g.group_id][i] for i in u)) / len(u)
             candidates.append((avg, g.group_id, u))
     candidates.sort(key=lambda t: (t[0], t[1], t[2][0]))
 
@@ -525,7 +528,7 @@ def reference_learned_plan(ir, groups, macs_fraction: float,
             continue
         selected[gid].update(unit)
         current = _virtual_macs(ir, shapes, kept_channels())
-    plan = PrunePlan(provenance={"criterion": strategy, "mode": "learned",
+    plan = PrunePlan(provenance={"mode": "learned",
                                  "macs_fraction": macs_fraction})
     for g in eligible:
         plan.entries.append(PlanEntry(g.group_id, g.fingerprint,
@@ -676,6 +679,34 @@ def reference_regularizer_grad(ir, groups, gammas, reg_weight: float,
     return grads
 
 
+def regularizer_value(ir, groups, gammas, reg_weight: float) -> float:
+    """Scalar value of the regularizer; finite-difference oracle target."""
+    from grouprune.importance import sq_norms
+    from grouprune.sparse import _weighted_slices
+
+    total = sum(float(coeff @ sq_norms(ir.weights[name], axis))
+                for name, axis, coeff in _weighted_slices(ir, groups, gammas))
+    return reg_weight * total
+
+
+def near_zero_fraction(trace_epoch, threshold: float = 0.01):
+    """Count of indices with importance below threshold * group max, and
+    the total number of indices, for one trace epoch."""
+    by_group: dict[str, list[float]] = {}
+    for gid, _k, imp in trace_epoch["entries"]:
+        by_group.setdefault(gid, []).append(imp)
+    near = 0
+    total = 0
+    for values in by_group.values():
+        top = max(values)
+        if top <= 0:
+            near += len(values)
+        else:
+            near += sum(1 for v in values if v < threshold * top)
+        total += len(values)
+    return near, total
+
+
 def reference_sgd_step(ir, grads, state, lr: float, momentum: float) -> None:
     """v <- momentum * v + g and w <- float32(w - lr * v), building new
     arrays; v starts from zeros."""
@@ -743,12 +774,14 @@ def reference_uniform_ratio_for_speedup(ir, groups, target: float, strategy,
     (the upper bound 0.95 if none did): widths change in whole units, so
     the last midpoint can sit below the target.
     """
-    from grouprune.pruning import build_uniform_plan, prune, speedup
+    from grouprune.pruning import (build_uniform_plan, group_scores, prune,
+                                   speedup)
 
     lo, hi = 0.0, 0.95
     for _ in range(18):
         mid = (lo + hi) / 2
-        plan = build_uniform_plan(ir, groups, mid, strategy, rng=rng)
+        plan = build_uniform_plan(
+            ir, groups, group_scores(ir, groups, strategy, rng=rng), mid)
         pruned = prune(ir, plan, groups)
         s = speedup(ir, pruned)
         if s < target:
@@ -770,7 +803,7 @@ def reference_run_cell(dataset: str, strategy: str, target_speedup: float,
     from grouprune.dependency import build_depgraph
     from grouprune.grouping import extract_groups
     from grouprune.pruning import (build_learned_plan, build_uniform_plan,
-                                   prune, speedup)
+                                   group_scores, prune, speedup)
     from grouprune.sparse import SparseConfig, train_sparse
 
     (x_tr, y_tr), (x_te, y_te) = ablate.make_data(dataset, seed)
@@ -782,11 +815,11 @@ def reference_run_cell(dataset: str, strategy: str, target_speedup: float,
     if mode == "uniform":
         ratio = reference_uniform_ratio_for_speedup(ir, groups, target_speedup,
                                                     strategy, rng)
-        plan = build_uniform_plan(ir, groups, ratio, strategy,
-                                  rng=np.random.default_rng(seed + 1))
+        plan = build_uniform_plan(ir, groups, group_scores(
+            ir, groups, strategy, rng=np.random.default_rng(seed + 1)), ratio)
     else:
-        plan = build_learned_plan(ir, groups, 1.0 / target_speedup,
-                                  strategy, rng=rng)
+        plan = build_learned_plan(ir, groups, group_scores(
+            ir, groups, strategy, rng=rng), 1.0 / target_speedup)
     pruned = prune(ir, plan, groups)
     achieved = speedup(ir, pruned)
     ft_cfg = SparseConfig(epochs=ablate.FINETUNE_EPOCHS, reg_weight=0.0,

@@ -5,15 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grouprune import ablate, zoo
+from grouprune import ablate, pruning, zoo
 from grouprune.ablate import (run_ablation, run_cell, train_cell_model,
                               uniform_plan_for_speedup)
 from grouprune.dependency import build_depgraph
 from grouprune.grouping import extract_groups
-from grouprune.pruning import (build_uniform_plan, prunable_groups, prune,
-                               speedup)
+from grouprune.pruning import (build_uniform_plan, group_scores,
+                               prunable_groups, prune, speedup)
 from grouprune.sparse import STRATEGIES, SparseConfig
 from reference import reference_run_cell, reference_uniform_ratio_for_speedup
+import toy_models
 
 # spiral, two strategies (one of them random) x two speedups x both modes
 # x two seeds: 16 cells from 4 trained models
@@ -30,10 +31,11 @@ def test_uniform_ratio_reaches_target_speedup(target):
     on the other."""
     ir = zoo.residual_cnn(seed=0)
     groups = extract_groups(build_depgraph(ir))
-    plan = uniform_plan_for_speedup(ir, groups, target, "full-grouping", 1)
+    scores = group_scores(ir, groups, "full-grouping")
+    plan = uniform_plan_for_speedup(ir, groups, scores, target)
     assert speedup(ir, prune(ir, plan, groups)) >= target
     below = math.nextafter(plan.provenance["ratio"], 0.0)
-    short = build_uniform_plan(ir, groups, below, "full-grouping")
+    short = build_uniform_plan(ir, groups, scores, below)
     assert speedup(ir, prune(ir, short, groups)) < target
 
 
@@ -45,8 +47,9 @@ def _reachable_speedups(ir, groups, strategy):
                     for j in range(g.width)} | {Fraction(19, 20)})
     steps = [q for q in steps if q <= Fraction(19, 20)]
     return sorted({speedup(ir, prune(ir, build_uniform_plan(
-        ir, groups, float((a + b) / 2), strategy,
-        rng=np.random.default_rng(1)), groups))
+        ir, groups, group_scores(ir, groups, strategy,
+                                 rng=np.random.default_rng(1)),
+        float((a + b) / 2)), groups))
         for a, b in zip(steps, steps[1:])})
 
 
@@ -62,9 +65,10 @@ def test_uniform_plan_matches_trial_prune_search(model, strategy):
     for target in targets:
         ratio = reference_uniform_ratio_for_speedup(
             ir, groups, target, strategy, np.random.default_rng(1))
-        want = build_uniform_plan(ir, groups, ratio, strategy,
-                                  rng=np.random.default_rng(1))
-        got = uniform_plan_for_speedup(ir, groups, target, strategy, 1)
+        scores = group_scores(ir, groups, strategy,
+                              rng=np.random.default_rng(1))
+        want = build_uniform_plan(ir, groups, scores, ratio)
+        got = uniform_plan_for_speedup(ir, groups, scores, target)
         assert got.entries == want.entries, target
 
 
@@ -76,10 +80,11 @@ def test_uniform_plan_is_minimal_on_uneven_widths():
     ir = zoo.mlp([4, 22, 13, 3])
     groups = extract_groups(build_depgraph(ir))
     for target in _reachable_speedups(ir, groups, "full-grouping")[1:]:
-        plan = uniform_plan_for_speedup(ir, groups, target, "full-grouping", 1)
+        scores = group_scores(ir, groups, "full-grouping")
+        plan = uniform_plan_for_speedup(ir, groups, scores, target)
         assert speedup(ir, prune(ir, plan, groups)) >= target
         below = math.nextafter(plan.provenance["ratio"], 0.0)
-        short = build_uniform_plan(ir, groups, below, "full-grouping")
+        short = build_uniform_plan(ir, groups, scores, below)
         assert speedup(ir, prune(ir, short, groups)) < target, target
 
 
@@ -98,6 +103,34 @@ def test_uniform_cell_prunes_once(monkeypatch):
     cell = run_cell(trained, "full-grouping", 2.0, "uniform", 3, CFG)
     assert len(calls) == 1
     assert cell.achieved_speedup >= 2.0
+
+
+def test_plans_score_each_group_once(monkeypatch):
+    """A plan scores each eligible group once: the uniform search selects
+    from one set of scores at every probe, and end_to_end_prune scores
+    once in either mode and records the criterion it scored by."""
+    trained = train_cell_model("shapes", "full-grouping", 3, CFG)
+    calls = []
+    real = pruning.group_l2_importance
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pruning, "group_l2_importance", spy)
+    ir, groups, _data = trained
+    cell = run_cell(trained, "full-grouping", 2.0, "uniform", 3, CFG)
+    assert cell.achieved_speedup >= 2.0
+    assert len(calls) == len(prunable_groups(ir, groups)) == 2
+    for name, build in toy_models.BUNDLED.items():
+        ir = build(seed=1)
+        eligible = prunable_groups(ir, extract_groups(build_depgraph(ir)))
+        for mode in ("uniform", "learned"):
+            calls.clear()
+            _pruned, plan, _report = pruning.end_to_end_prune(ir, 0.5,
+                                                              mode=mode)
+            assert len(calls) == len(eligible), (name, mode)
+            assert plan.provenance["criterion"] == "full-grouping"
 
 
 def test_ablation_matches_one_training_per_cell():

@@ -5,10 +5,10 @@ from grouprune.dependency import build_depgraph
 from grouprune.errors import GroupingError
 from grouprune.grouping import (IndexTransform, derive_grouping_matrix,
                                 export_grouping, extract_groups, group_report)
-from grouprune.ir import (NetworkIR, activation, eltwise, init_weights, linear,
-                          split)
+from grouprune.ir import NetworkIR, activation, eltwise, init_weights, linear
 from random_nets import random_ir
 import toy_models
+from toy_models import split
 
 from reference import (boolean_closure, closure_components, literal_expansion,
                        read_csv, transform_locals)

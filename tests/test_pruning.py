@@ -11,8 +11,8 @@ from grouprune.ir import (NetworkIR, activation, batchnorm, conv2d, eltwise,
 from grouprune.pruning import (PlanEntry, PrunePlan, boundary_roles,
                                build_learned_plan, build_uniform_plan,
                                end_to_end_prune, format_speedup_line,
-                               min_keep_for, plan_macs, prunable_groups,
-                               prune, speedup)
+                               group_scores, min_keep_for, plan_macs,
+                               prunable_groups, prune, speedup)
 from grouprune.sparse import STRATEGIES
 from random_nets import random_ir
 import toy_models
@@ -84,11 +84,12 @@ def test_builder_plans_prune_like_zeroizing_on_random_irs(mode):
         x = np.random.default_rng(seed).normal(
             size=(16,) + ir.input_shape).astype(np.float32)
         for strategy in ("full-grouping", "no-grouping", "conv-only", "random"):
-            rng = np.random.default_rng(seed)
+            scores = group_scores(ir, groups, strategy,
+                                  rng=np.random.default_rng(seed))
             if mode == "uniform":
-                plan = build_uniform_plan(ir, groups, 0.5, strategy, rng=rng)
+                plan = build_uniform_plan(ir, groups, scores, 0.5)
             else:
-                plan = build_learned_plan(ir, groups, 0.5, strategy, rng=rng)
+                plan = build_learned_plan(ir, groups, scores, 0.5)
             z = ir
             for e in plan.entries:
                 z = zeroize_group(z, by_id[e.group_id], e.indices)
@@ -199,7 +200,8 @@ def test_monotone_macs():
 def test_uniform_plan_halves_widths():
     ir = zoo.residual_cnn()
     groups = extract_groups(build_depgraph(ir))
-    plan = build_uniform_plan(ir, groups, ratio=0.5)
+    plan = build_uniform_plan(ir, groups,
+                              group_scores(ir, groups, "full-grouping"), 0.5)
     by_id = {g.group_id: g for g in groups}
     for e in plan.entries:
         width = by_id[e.group_id].width
@@ -211,7 +213,8 @@ def test_uniform_plan_halves_widths():
 def test_uniform_plan_skips_boundary_groups():
     ir = zoo.residual_cnn()
     groups = extract_groups(build_depgraph(ir))
-    plan = build_uniform_plan(ir, groups, ratio=0.5)
+    plan = build_uniform_plan(ir, groups,
+                              group_scores(ir, groups, "full-grouping"), 0.5)
     planned = {e.group_id for e in plan.entries}
     for g in groups:
         if boundary_roles(ir, g):
@@ -224,8 +227,9 @@ def test_learned_plan_prunes_zeroized_group_hardest():
     target = next(g for g in prunable_groups(ir, groups)
                   if "conv1:out" in g.member_ids())
     z = zeroize_group(ir, target, range(target.width))
-    plan = build_learned_plan(z, extract_groups(build_depgraph(z)),
-                              macs_fraction=0.6)
+    z_groups = extract_groups(build_depgraph(z))
+    plan = build_learned_plan(z, z_groups,
+                              group_scores(z, z_groups, "full-grouping"), 0.6)
     removed = {e.group_id: len(e.indices) for e in plan.entries}
     by_id = {g.group_id: g for g in extract_groups(build_depgraph(z))}
     fractions = {gid: n / by_id[gid].width for gid, n in removed.items()}
@@ -313,10 +317,10 @@ def test_learned_plan_matches_recounting_oracle():
         for strategy in STRATEGIES:
             for fraction in MACS_FRACTIONS:
                 case = (name, strategy, fraction)
-                plan = build_learned_plan(ir, groups, fraction, strategy,
-                                          rng=np.random.default_rng(3))
-                want = reference_learned_plan(ir, groups, fraction, strategy,
-                                              rng=np.random.default_rng(3))
+                scores = group_scores(ir, groups, strategy,
+                                      rng=np.random.default_rng(3))
+                plan = build_learned_plan(ir, groups, scores, fraction)
+                want = reference_learned_plan(ir, groups, scores, fraction)
                 assert plan.entries == want.entries, case
                 assert plan.provenance == want.provenance, case
                 pruned = prune(ir, plan, groups)   # no port is emptied
@@ -333,10 +337,10 @@ def test_learned_plan_matches_recounting_oracle_on_wide_groups():
     for strategy in STRATEGIES:
         for fraction in MACS_FRACTIONS:
             case = (strategy, fraction)
-            plan = build_learned_plan(ir, groups, fraction, strategy,
-                                      rng=np.random.default_rng(3))
-            want = reference_learned_plan(ir, groups, fraction, strategy,
-                                          rng=np.random.default_rng(3))
+            scores = group_scores(ir, groups, strategy,
+                                  rng=np.random.default_rng(3))
+            plan = build_learned_plan(ir, groups, scores, fraction)
+            want = reference_learned_plan(ir, groups, scores, fraction)
             assert plan.entries == want.entries, case
             if fraction < 1:
                 assert sum(len(e.indices) for e in plan.entries) > 30, case
@@ -351,8 +355,8 @@ def test_prune_owns_its_result():
         before = {n: w.copy() for n, w in ir.weights.items()}
         for strategy in ("full-grouping", "random"):
             for build in (build_uniform_plan, build_learned_plan):
-                plan = build(ir, groups, 0.5, strategy,
-                             rng=np.random.default_rng(1))
+                plan = build(ir, groups, group_scores(
+                    ir, groups, strategy, rng=np.random.default_rng(1)), 0.5)
                 pruned = prune(ir, plan, groups)
                 sliced += sum(w.shape != ir.weights[n].shape
                               for n, w in pruned.weights.items())
@@ -372,8 +376,8 @@ def test_plan_macs_counts_uniform_plans_as_prune_does():
         for strategy in ("full-grouping", "random"):
             for ratio in (0.1, 0.3, 0.5, 0.7, 0.9):
                 case = (name, strategy, ratio)
-                plan = build_uniform_plan(ir, groups, ratio, strategy,
-                                          rng=np.random.default_rng(3))
+                plan = build_uniform_plan(ir, groups, group_scores(
+                    ir, groups, strategy, rng=np.random.default_rng(3)), ratio)
                 macs = plan_macs(ir, groups, plan)
                 assert macs == engine.count_macs(prune(ir, plan, groups)) == \
                     _plan_macs(ir, groups, plan), case

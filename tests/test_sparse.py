@@ -12,15 +12,15 @@ from grouprune.importance import group_l2_importance
 from grouprune.ir import NetworkIR, init_weights, linear
 from grouprune.sparse import (SparseConfig, coefficient_map, compute_gamma,
                               counted_group, layer_pseudo_groups,
-                              near_zero_fraction, refresh_gamma,
-                              regularizer_grad, regularizer_value,
+                              refresh_gamma, regularizer_grad,
                               sparsity_groups, train_sparse)
 
 import toy_models
 from conftest import oracle_models
-from reference import (fd_scalar, grad_rel_err,
+from reference import (fd_scalar, grad_rel_err, near_zero_fraction,
                        reference_regularizer_coefficients,
-                       reference_regularizer_grad, reference_sgd_step)
+                       reference_regularizer_grad, reference_sgd_step,
+                       regularizer_value)
 
 
 def _imp(values):

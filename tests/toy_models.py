@@ -8,9 +8,20 @@ BUNDLED names all eight; tests parametrize over it.
 
 from __future__ import annotations
 
-from grouprune.ir import (NetworkIR, activation, batchnorm, concat, conv2d,
-                          eltwise, flatten, linear, pool, split)
+from grouprune.ir import (Component, NetworkIR, activation, batchnorm, conv2d,
+                          eltwise, flatten, linear, pool)
 from grouprune.zoo import _finish, residual_cnn, spiral_mlp
+
+
+# Builders of the two kinds that only test networks use.
+
+
+def concat(comp_id: str, sizes: list[int]) -> Component:
+    return Component(comp_id, "concat", {"sizes": list(sizes)})
+
+
+def split(comp_id: str, sizes: list[int]) -> Component:
+    return Component(comp_id, "split", {"sizes": list(sizes)})
 
 
 def two_layer_mlp(in_features: int = 16, hidden: int = 32,
