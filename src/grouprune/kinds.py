@@ -21,6 +21,11 @@ work) plus {role: parameter gradient}. Arrays are float32, NCHW for images
 and (N, F) after flatten. Split returns the np.split views of its port
 windows.
 
+Kernels assume an IR that passed NetworkIR.validate(): ranks, widths
+along edges, weight shapes and each kind's out_shape hold there, so no
+kernel checks them again. A shrink rule only computes the new attributes;
+pruning.prune's closing validate() judges the network they make.
+
 A convolution is three batched matmuls, each over a patch array that
 _im2col gathers. The output is weight @ patches of the padded input, and
 the weight gradient is output gradient @ those patches^T, summed over the
@@ -40,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PruneError, ShapeError
+from .errors import ShapeError
 
 # Parameter roles that are per-channel state but not trained by SGD.
 BUFFER_ROLES = ("running_mean", "running_var")
@@ -183,26 +188,15 @@ def _shrink_conv(comp, inr, outr):
     """A grouped conv loses whole groups, the same ones on both halves."""
     a = _narrow("in_channels", "out_channels")(comp, inr, outr)
     if a["groups"] > 1:
-        if inr != outr:
-            raise PruneError(f"{comp.comp_id}: grouped conv halves "
-                             "pruned inconsistently")
-        block = _conv_block(comp.attrs)
-        if len(outr) % block:
-            raise PruneError(f"{comp.comp_id}: removal not aligned to "
-                             f"channel groups of {block}")
-        a["groups"] -= len(outr) // block
+        a["groups"] -= len(outr) // _conv_block(comp.attrs)
     return a
 
 
 def _shrink_sizes(comp, inr, outr):
-    """Each port window loses the removed indices inside it; none may end
-    up empty."""
+    """Each port window loses the removed indices inside it."""
     a = dict(comp.attrs)
     a["sizes"] = [size - sum(1 for i in inr if lo <= i < lo + size)
                   for lo, size in _runs(a)]
-    if any(s <= 0 for s in a["sizes"]):
-        raise PruneError(f"{comp.comp_id}: pruning empties a "
-                         f"{comp.kind} port")
     return a
 
 
@@ -255,9 +249,6 @@ def _per_channel(arr, ndim):
 def _fwd_linear(comp, ins, weights, mode):
     (x,) = ins
     w = weights[comp.params["weight"]]
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"{comp.comp_id}: expected (N, {w.shape[1]}) input, "
-                         f"got {x.shape}")
     # BLAS runs this product faster as w @ x.T; the result is copied into
     # a C-contiguous array, which the backward's matmuls read faster
     prod = (w @ x.T).T
@@ -276,21 +267,6 @@ def _bwd_linear(comp, ctx, weights, need, dout):
     if not need[0]:
         return [None], dparams
     return [dout @ weights[comp.params["weight"]]], dparams
-
-
-def _conv_geometry(comp, x):
-    a = comp.attrs
-    k, s, p = a["kernel"], a["stride"], a["padding"]
-    n, c, h, w = x.shape
-    if c != a["in_channels"]:
-        raise ShapeError(f"{comp.comp_id}: expected {a['in_channels']} input "
-                         f"channels, got {c}")
-    oh = (h + 2 * p - k) // s + 1
-    ow = (w + 2 * p - k) // s + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"{comp.comp_id}: kernel {k} too large for input "
-                         f"{h}x{w} with padding {p}")
-    return k, s, p, oh, ow
 
 
 def _padded(x, top, left, height, width, s=1):
@@ -332,11 +308,9 @@ def _im2col(xp, k, s, oh, ow):
 
 def _fwd_conv2d(comp, ins, weights, mode):
     (x,) = ins
-    if x.ndim != 4:
-        raise ShapeError(f"{comp.comp_id}: conv2d expects NCHW input, got {x.shape}")
     a = comp.attrs
-    k, s, p, oh, ow = _conv_geometry(comp, x)
-    g = a["groups"]
+    k, s, p, g = a["kernel"], a["stride"], a["padding"], a["groups"]
+    _, oh, ow = _conv_shape(comp, [x.shape[1:]])
     cg, ocg = a["in_channels"] // g, a["out_channels"] // g
     n, _, h, w = x.shape
     xp = _padded(x, p, p, h + 2 * p, w + 2 * p)
@@ -381,8 +355,6 @@ def _fwd_batchnorm(comp, ins, weights, mode):
     (x,) = ins
     a = comp.attrs
     c = a["num_features"]
-    if x.shape[1] != c:
-        raise ShapeError(f"{comp.comp_id}: expected {c} channels, got {x.shape[1]}")
     eps = a.get("eps", 1e-5)
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     gamma = weights[comp.params["gamma"]]
@@ -456,12 +428,7 @@ def _bwd_activation(comp, ctx, weights, need, dout):
 def _fwd_pool(comp, ins, weights, mode):
     (x,) = ins
     k = comp.attrs["kernel"]
-    if x.ndim != 4:
-        raise ShapeError(f"{comp.comp_id}: pool expects NCHW input, got {x.shape}")
     n, c, h, w = x.shape
-    if h % k or w % k:
-        raise ShapeError(f"{comp.comp_id}: spatial {h}x{w} not divisible by "
-                         f"kernel {k}")
     win = x.reshape(n, c, h // k, k, w // k, k)
     if comp.attrs["op"] == "avg":
         return [_window_mean(x, win, k)], {"x_shape": x.shape}
@@ -510,9 +477,6 @@ def _bwd_pool(comp, ctx, weights, need, dout):
 
 def _fwd_eltwise(comp, ins, weights, mode):
     a, b = ins
-    if a.shape != b.shape:
-        raise ShapeError(f"{comp.comp_id}: operand shapes differ: "
-                         f"{a.shape} vs {b.shape}")
     if comp.attrs["op"] == "add":
         return [a + b], {}
     return [a * b], {"a": a, "b": b}
@@ -525,12 +489,7 @@ def _bwd_eltwise(comp, ctx, weights, need, dout):
 
 
 def _fwd_concat(comp, ins, weights, mode):
-    sizes = comp.attrs["sizes"]
-    for i, (arr, want) in enumerate(zip(ins, sizes)):
-        if arr.shape[1] != want:
-            raise ShapeError(f"{comp.comp_id}: port {i} expected {want} "
-                             f"channels, got {arr.shape[1]}")
-    return [np.concatenate(ins, axis=1)], {"sizes": sizes}
+    return [np.concatenate(ins, axis=1)], {"sizes": comp.attrs["sizes"]}
 
 
 def _bwd_concat(comp, ctx, weights, need, dout):
@@ -539,11 +498,7 @@ def _bwd_concat(comp, ctx, weights, need, dout):
 
 def _fwd_split(comp, ins, weights, mode):
     (x,) = ins
-    sizes = comp.attrs["sizes"]
-    if x.shape[1] != sum(sizes):
-        raise ShapeError(f"{comp.comp_id}: expected {sum(sizes)} "
-                         f"channels, got {x.shape[1]}")
-    return np.split(x, np.cumsum(sizes)[:-1], axis=1), {}
+    return np.split(x, np.cumsum(comp.attrs["sizes"])[:-1], axis=1), {}
 
 
 def _bwd_split(comp, ctx, weights, need, *douts):
@@ -552,13 +507,7 @@ def _bwd_split(comp, ctx, weights, need, *douts):
 
 def _fwd_flatten(comp, ins, weights, mode):
     (x,) = ins
-    a = comp.attrs
-    if x.ndim != 4:
-        raise ShapeError(f"{comp.comp_id}: flatten expects NCHW input, got {x.shape}")
     n, c, h, w = x.shape
-    if c != a["channels"] or h * w != a["spatial_size"]:
-        raise ShapeError(f"{comp.comp_id}: declared {a['channels']} channels x "
-                         f"{a['spatial_size']} spatial, got {c} x {h * w}")
     return [x.reshape(n, c * h * w)], {"x_shape": x.shape}
 
 

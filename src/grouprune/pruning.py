@@ -143,8 +143,6 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
         sel = set(entry.indices)
         if not sel <= set(range(group.width)):
             raise PruneError(f"{entry.group_id}: indices out of range")
-        if len(sel) >= group.width:
-            raise PruneError(f"{entry.group_id}: cannot prune every index")
         mask = np.zeros(group.width, dtype=bool)
         mask[list(sel)] = True
         if not _units_closed(group, mask):

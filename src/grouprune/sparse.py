@@ -173,29 +173,20 @@ def coefficient_map(ir, groups, gammas: dict[str, np.ndarray],
     return coeffs
 
 
-def regularizer_grad(ir, groups, gammas: dict[str, np.ndarray],
-                     reg_weight: float, *,
-                     coeffs: dict[str, np.ndarray] | None = None,
-                     grads: dict[str, np.ndarray] | None = None,
-                     ) -> dict[str, np.ndarray]:
+def regularizer_grad(ir, coeffs: dict[str, np.ndarray],
+                     grads: dict[str, np.ndarray]) -> None:
     """Add the gradient of the sparsity regularizer into grads, in place.
 
     The regularizer is reg_weight * sum_g sum_k gamma_k * I_{g,k}, with
     gradient 2 * reg_weight * gamma_k * w[k] on a slice w[k]. Summed over
-    the slices of a tensor this is C * w, C = coefficient_map(...) in
-    float32, multiplied in float32. coeffs is that map; a training loop
-    builds it once per gamma refresh and passes it on every step, and
-    without it the map is built here.
+    the slices of a tensor this is C * w, with coeffs the float32 map
+    C = coefficient_map(...), multiplied in float32. A training loop
+    builds the map once per gamma refresh and passes it on every step.
 
     Each tensor's C * w is added into grads[name] (a fresh zero array when
     grads has no entry, so a -0.0 product reads +0.0) block by block along
-    axis 0, so no full-size temporary is made. grads defaults to a new
-    dict; it is returned.
+    axis 0, so no full-size temporary is made.
     """
-    if coeffs is None:
-        coeffs = coefficient_map(ir, groups, gammas, reg_weight)
-    if grads is None:
-        grads = {}
     for name, c in coeffs.items():
         w = ir.weights[name]
         g = grads.get(name)
@@ -205,7 +196,6 @@ def regularizer_grad(ir, groups, gammas: dict[str, np.ndarray],
         rows = max(1, _CHUNK * len(w) // w.size)
         for lo in range(0, len(w), rows):
             g[lo:lo + rows] += c[lo:lo + rows] * w[lo:lo + rows]
-    return grads
 
 
 def layer_pseudo_groups(ir) -> list[Group]:
@@ -299,8 +289,7 @@ def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group]):
                     trace=trace)
             grads = engine.backward(tape, dlogits)
             if cfg.reg_weight > 0:
-                regularizer_grad(ir, reg_groups, gammas, cfg.reg_weight,
-                                 coeffs=coeffs, grads=grads)
+                regularizer_grad(ir, coeffs, grads)
             engine.sgd_step(ir, grads, state, cfg.lr, cfg.momentum)
             del grads   # freed before the next backward allocates its own
             step += 1

@@ -155,16 +155,24 @@ def test_inspect_unreadable_descriptor_exits_2(residual_model, tmp_path,
     assert message in err
 
 
-def _conv1_attrs(doc):
-    return next(c for c in doc["components"] if c["id"] == "conv1")["attrs"]
+def _attrs(doc, comp_id):
+    return next(c for c in doc["components"] if c["id"] == comp_id)["attrs"]
 
 
 @pytest.mark.parametrize("command", ["inspect", "prune"])
 @pytest.mark.parametrize("mutate, message", [
-    (lambda doc: _conv1_attrs(doc).update(stride=2), "operand shapes differ"),
+    (lambda doc: _attrs(doc, "conv1").update(stride=2), "operand shapes differ"),
     (lambda doc: doc.update(input_shape=[1, 8]), "input_shape must be"),
     (lambda doc: doc.update(input_shape=[1]), "conv2d expects a rank-3 input"),
-], ids=["stride-2", "rank-2-input", "flat-input"])
+    (lambda doc: doc.update(input_shape=[1, 7, 7]),
+     "pool: spatial 7x7 not divisible by kernel 2"),
+    (lambda doc: doc.update(input_shape=[1, 6, 6]),
+     "flat: spatial_size 16 != actual 9"),
+    (lambda doc: (doc.update(input_shape=[1, 2, 2]),
+                  _attrs(doc, "stem").update(padding=0)),
+     "stem: non-positive output size"),
+], ids=["stride-2", "rank-2-input", "flat-input", "odd-pool-input",
+        "flatten-size", "kernel-too-large"])
 def test_shapes_that_do_not_fit_exit_3(residual_model, tmp_path, capsys,
                                        command, mutate, message):
     """validate() ends with shape inference, so a wiring whose tensor

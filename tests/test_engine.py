@@ -102,8 +102,9 @@ def test_forward_rejects_bad_shape_and_nonfinite():
 
 
 def test_shape_error_names_component():
-    # a kernel larger than the padded input: validate() rejects it, so
-    # the IR is built without check_valid() to reach the kernel's check
+    # a kernel larger than the padded input: validate() rejects it, and
+    # the IR is built without check_valid(). The conv kernel takes its
+    # output size from the kind's shape rule, which raises naming the conv.
     ir = NetworkIR([conv2d("convzilla", 2, 4, kernel=3, padding=0)], [],
                    (2, 2, 2), [("convzilla", 0)])
     init_weights(ir, np.random.default_rng(0))

@@ -164,6 +164,59 @@ def test_split_sizes_updated():
     assert pruned.validate() == []
 
 
+@pytest.mark.parametrize("build, member, indices, comp", [
+    (toy_models.concat_cnn, "cat:in", range(8), "cat"),   # all of branch_a
+    (toy_models.split_cnn, "sp:in", range(4), "sp"),      # all of left's port
+], ids=["concat", "split"])
+def test_plan_emptying_a_port_is_rejected(build, member, indices, comp):
+    # The shrink rule leaves a zero size; the closing validate() names it.
+    ir = build()
+    groups = extract_groups(build_depgraph(ir))
+    g = next(g for g in groups if member in g.member_ids())
+    plan = PrunePlan(entries=[PlanEntry(g.group_id, g.fingerprint,
+                                        tuple(indices))])
+    with pytest.raises(PruneError,
+                       match=rf"invalid network: .*\b{comp}: sizes must be"):
+        prune(ir, plan, groups)
+
+
+def _two_raw_readers():
+    """fa and fb both read the raw input; nothing else couples their
+    input halves, so each is a group of its own."""
+    comps = [linear("fa", 4, 3), linear("fb", 4, 3), eltwise("add", 3),
+             linear("head", 3, 2)]
+    edges = [("fa", 0, "add", 0), ("fb", 0, "add", 1), ("add", 0, "head", 0)]
+    ir = NetworkIR(comps, edges, (4,), [("fa", 0), ("fb", 0)])
+    init_weights(ir, np.random.default_rng(3))
+    ir.check_valid()
+    groups = extract_groups(build_depgraph(ir))
+    fa, fb = (next(g for g in groups if g.member_ids() == {f"{cid}:in"})
+              for cid in ("fa", "fb"))
+    return ir, groups, fa, fb
+
+
+def test_consistent_raw_input_pruning_shrinks_the_input():
+    ir, groups, fa, fb = _two_raw_readers()
+    drop = (1, 3)
+    plan = PrunePlan(entries=[PlanEntry(g.group_id, g.fingerprint, drop)
+                              for g in (fa, fb)])
+    pruned = prune(ir, plan, groups)
+    assert pruned.input_shape == (2,)
+    z = zeroize_group(zeroize_group(ir, fa, drop), fb, drop)
+    x = np.random.default_rng(4).normal(size=(8, 4)).astype(np.float32)
+    np.testing.assert_array_equal(engine.forward(pruned, x[:, [0, 2]]),
+                                  engine.forward(z, x))
+
+
+@pytest.mark.parametrize("fb_drop", [(), (1, 2)])
+def test_inconsistent_raw_input_pruning_rejected(fb_drop):
+    ir, groups, fa, fb = _two_raw_readers()
+    plan = PrunePlan(entries=[PlanEntry(fa.group_id, fa.fingerprint, (1, 3)),
+                              PlanEntry(fb.group_id, fb.fingerprint, fb_drop)])
+    with pytest.raises(PruneError, match="raw network input"):
+        prune(ir, plan, groups)
+
+
 # -- speedup ------------------------------------------------------------------
 
 

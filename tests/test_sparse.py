@@ -27,6 +27,15 @@ def _imp(values):
     return np.asarray(values, dtype=np.float64)
 
 
+def _reg_grad(ir, groups, gammas, reg_weight, grads=None):
+    """grads (a new dict by default) plus the regularizer gradient, from
+    the coefficient map of the groups, as train_sparse adds it."""
+    grads = {} if grads is None else grads
+    regularizer_grad(ir, coefficient_map(ir, groups, gammas, reg_weight),
+                     grads)
+    return grads
+
+
 def _counted(ir, groups, strategy):
     """The regularized groups of a strategy, as train_sparse builds them,
     and the member scope the reference oracles read for it."""
@@ -71,7 +80,7 @@ def test_regularizer_zero_weight_contributes_nothing():
     ir = zoo.residual_cnn()
     groups = extract_groups(build_depgraph(ir))
     gammas = refresh_gamma(ir, groups, 4.0)
-    assert regularizer_grad(ir, groups, gammas, reg_weight=0.0) == {}
+    assert _reg_grad(ir, groups, gammas, reg_weight=0.0) == {}
 
 
 def test_regularizer_closed_form_single_slice():
@@ -82,7 +91,7 @@ def test_regularizer_closed_form_single_slice():
     groups = layer_pseudo_groups(ir)
     uniform = {g.group_id: compute_gamma(np.ones(g.width), 4.0)
                for g in groups}
-    grads = regularizer_grad(ir, groups, uniform, reg_weight=0.5)
+    grads = _reg_grad(ir, groups, uniform, reg_weight=0.5)
     np.testing.assert_allclose(grads["fc.weight"], ir.weights["fc.weight"],
                                rtol=1e-6)
 
@@ -92,7 +101,7 @@ def test_regularizer_matches_finite_differences():
     groups = extract_groups(build_depgraph(ir))
     gammas = refresh_gamma(ir, groups, 4.0)
     lam = 0.123
-    grads = regularizer_grad(ir, groups, gammas, lam)
+    grads = _reg_grad(ir, groups, gammas, lam)
     fd = fd_scalar(lambda m: regularizer_value(m, groups, gammas, lam),
                    ir, names=sorted(grads))
     for name in grads:
@@ -103,7 +112,7 @@ def test_regularizer_skips_running_stats():
     ir = zoo.residual_cnn()
     groups = extract_groups(build_depgraph(ir))
     gammas = refresh_gamma(ir, groups, 4.0)
-    grads = regularizer_grad(ir, groups, gammas, 1e-3)
+    grads = _reg_grad(ir, groups, gammas, 1e-3)
     assert not any("running" in name for name in grads)
     assert "bn1.gamma" in grads and "bn1.beta" in grads
 
@@ -117,7 +126,7 @@ def test_regularizer_only_updates_shrink_group_norms():
     prev = None
     for _step in range(30):
         gammas = refresh_gamma(ir, groups, 4.0)
-        grads = regularizer_grad(ir, groups, gammas, reg_weight=0.05)
+        grads = _reg_grad(ir, groups, gammas, reg_weight=0.05)
         engine.sgd_step(ir, grads, state, lr=lr, momentum=0.0)
         totals = np.array([group_l2_importance(ir, g).sum()
                            for g in groups])
@@ -132,7 +141,7 @@ def test_regularizer_grad_matches_index_loop_oracle():
         for strategy in ("full-grouping", "conv-only", "no-grouping"):
             reg_groups, counted, scope = _counted(ir, groups, strategy)
             gammas = refresh_gamma(ir, counted, 4.0)
-            got = regularizer_grad(ir, counted, gammas, 0.37)
+            got = _reg_grad(ir, counted, gammas, 0.37)
             want = reference_regularizer_grad(ir, reg_groups, gammas, 0.37, scope)
             assert sorted(got) == sorted(want), (name, strategy)
             for tensor in want:
@@ -151,7 +160,7 @@ def test_regularizer_grad_signed_zeros_match_oracle():
     for strategy in ("full-grouping", "no-grouping"):
         reg_groups, counted, scope = _counted(ir, groups, strategy)
         gammas = refresh_gamma(ir, counted, 4.0)
-        got = regularizer_grad(ir, counted, gammas, 1e-4)
+        got = _reg_grad(ir, counted, gammas, 1e-4)
         want = reference_regularizer_grad(ir, reg_groups, gammas, 1e-4, scope)
         for tensor in want:
             assert got[tensor].tobytes() == want[tensor].tobytes(), tensor
@@ -167,7 +176,7 @@ def test_regularizer_grad_is_float64_gradient_to_float32_rounding():
         for strategy in ("full-grouping", "conv-only", "no-grouping"):
             reg_groups, counted, scope = _counted(ir, groups, strategy)
             gammas = refresh_gamma(ir, counted, 4.0)
-            got = regularizer_grad(ir, counted, gammas, 0.37)
+            got = _reg_grad(ir, counted, gammas, 0.37)
             exact = reference_regularizer_coefficients(ir, reg_groups, gammas,
                                                        0.37, scope)
             assert sorted(got) == sorted(exact), (name, strategy)
@@ -193,8 +202,8 @@ def test_regularizer_grad_in_blocks_matches_oracle(monkeypatch):
         for reg_groups in cases:
             gammas = refresh_gamma(ir, reg_groups, 4.0)
             task = {n: np.full_like(w, 0.25) for n, w in ir.weights.items()}
-            got = regularizer_grad(ir, reg_groups, gammas, 0.37,
-                                   grads={n: g.copy() for n, g in task.items()})
+            got = _reg_grad(ir, reg_groups, gammas, 0.37,
+                            {n: g.copy() for n, g in task.items()})
             want = reference_regularizer_grad(ir, reg_groups, gammas, 0.37)
             for tensor, reg in want.items():
                 assert got[tensor].tobytes() == (task[tensor] + reg).tobytes(), \
@@ -225,17 +234,17 @@ def test_coefficient_map_rebuilt_at_each_gamma_refresh(model, monkeypatch):
         maps.append(coefficient_map(*args, **kwargs))
         return maps[-1]
 
-    def grad_spy(ir, groups, gammas, reg_weight, *, coeffs, grads):
-        # the map in use is the one the latest gammas define
+    def grad_spy(ir, coeffs, grads):
+        # the map in use is the one the latest gammas define (full
+        # grouping regularizes every group whole)
         want = reference_regularizer_coefficients(ir, groups, latest[0],
-                                                  reg_weight)
+                                                  cfg.reg_weight)
         assert sorted(coeffs) == sorted(want)
         for tensor, c in want.items():
             got = np.broadcast_to(coeffs[tensor], c.shape)
             assert got.tobytes() == c.astype(np.float32).tobytes(), tensor
         steps.append(1)
-        return regularizer_grad(ir, groups, gammas, reg_weight,
-                                coeffs=coeffs, grads=grads)
+        regularizer_grad(ir, coeffs, grads)
 
     monkeypatch.setattr(sparse_mod, "refresh_gamma", refresh_spy)
     monkeypatch.setattr(sparse_mod, "coefficient_map", map_spy)
