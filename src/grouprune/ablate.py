@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .grouping import extract_groups
 from .pruning import (PrunePlan, build_learned_plan, build_uniform_plan,
                       group_scores, plan_macs, prune, speedup)
-from .sparse import STRATEGIES, SparseConfig, train_sparse
+from .sparse import SparseConfig, train_sparse
 
 FINETUNE_EPOCHS = 5
 
@@ -96,8 +96,6 @@ def train_cell_model(dataset: str, strategy: str, seed: int,
     without a regularizer (sparse.sparsity_groups gives it no groups);
     training changes weights only, so the groups extracted up front serve
     planning and pruning too."""
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
     data = make_data(dataset, seed)
     ir = make_model(dataset, seed)
     groups = extract_groups(build_depgraph(ir))
@@ -111,7 +109,8 @@ def run_cell(trained, strategy: str, target_speedup: float, mode: str,
     """Prune and fine-tune one cell, starting from trained, the (ir, groups,
     data) that train_cell_model returned for the cell's strategy and seed.
     The trained IR is only read: prune copies every tensor it keeps, and
-    the fine-tune trains that copy."""
+    the fine-tune trains that copy. The fine-tune gets no groups: at
+    reg_weight 0 it regularizes nothing, and its trace is dropped."""
     ir, groups, ((x_tr, y_tr), (x_te, y_te)) = trained
     scores = group_scores(ir, groups, strategy,
                           rng=np.random.default_rng(seed + 1))
@@ -125,8 +124,7 @@ def run_cell(trained, strategy: str, target_speedup: float, mode: str,
     ft_cfg = SparseConfig(epochs=FINETUNE_EPOCHS, reg_weight=0.0,
                           lr=cfg.lr / 2, momentum=cfg.momentum,
                           batch_size=cfg.batch_size, seed=seed + 2)
-    ft_groups = extract_groups(build_depgraph(pruned))
-    pruned, _ = train_sparse(pruned, (x_tr, y_tr), ft_cfg, ft_groups)
+    pruned, _ = train_sparse(pruned, (x_tr, y_tr), ft_cfg, [])
 
     acc = engine.accuracy(engine.forward(pruned, x_te), y_te)
     return AblationCell(strategy, target_speedup, mode, seed, acc, achieved)

@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from . import engine
 from .ablate import make_data, run_ablation
-from .data import DATASETS
 from .dependency import build_depgraph, export_depgraph
 from .errors import (ConfigError, GroupingError, ModelParseError, PruneError,
                      ShapeError, TrainingDiverged, ValidationError)
@@ -64,8 +63,6 @@ def _configured(cfg: SparseConfig, **options) -> SparseConfig:
 
 def cmd_train(args) -> int:
     ir = load_model(args.model)
-    if args.data not in DATASETS:
-        raise ConfigError(f"unknown dataset {args.data!r}")
     cfg = _configured(
         SparseConfig.from_json(args.config) if args.config else SparseConfig(),
         alpha=args.alpha, reg_weight=args.reg_weight, epochs=args.epochs,

@@ -86,6 +86,3 @@ def train_test_split(x, y, test_fraction: float = 0.25, seed: int = 0):
     n_test = int(len(x) * test_fraction)
     test, train = order[:n_test], order[n_test:]
     return (x[train], y[train]), (x[test], y[test])
-
-
-DATASETS = {"spiral": spiral, "shapes": shapes}

@@ -31,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import ir as _ir
-from .errors import GroupruneError
 from .reporting import write_binary_matrix
 
 INTER = "inter"
@@ -99,6 +98,4 @@ def build_depgraph(ir: "_ir.NetworkIR") -> DependencyGraph:
 def export_depgraph(d: DependencyGraph, path) -> None:
     """Write the adjacency matrix as CSV: header and row labels carry the
     half-node legend (component:side)."""
-    if d.order == 0:
-        raise GroupruneError("no components: nothing to export")
     write_binary_matrix(path, "half", [h.node_id for h in d.halves], d.dense())

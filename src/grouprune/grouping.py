@@ -36,7 +36,7 @@ import numpy as np
 
 from . import ir as _ir
 from .dependency import DependencyGraph
-from .errors import GroupingError, GroupruneError
+from .errors import GroupingError
 from .kinds import SPECS
 from .reporting import write_binary_matrix
 
@@ -319,8 +319,6 @@ def derive_grouping_matrix(d: DependencyGraph) -> GroupingMatrix:
 
 
 def export_grouping(g: GroupingMatrix, path) -> None:
-    if not g.component_ids:
-        raise GroupruneError("no components: nothing to export")
     write_binary_matrix(path, "component", g.component_ids, g.matrix)
 
 

@@ -17,9 +17,10 @@ A forward kernel takes one array per input port and returns one per output
 port plus a backward context; backward takes, per input port, whether it
 needs a gradient, then one gradient per output port, and returns one per
 input port (None where none is needed; only conv2d and linear skip the
-work) plus {role: parameter gradient}. Arrays are float32, NCHW for images
-and (N, F) after flatten. Split returns the np.split views of its port
-windows.
+work) plus {role: parameter gradient}. Backward only sees train-mode
+contexts: engine.forward keeps no tape in eval. Arrays are float32, NCHW
+for images and (N, F) after flatten. Split returns the np.split views of
+its port windows.
 
 Kernels assume an IR that passed NetworkIR.validate(): ranks, widths
 along edges, weight shapes and each kind's out_shape hold there, so no
@@ -378,8 +379,7 @@ def _fwd_batchnorm(comp, ins, weights, mode):
     xhat *= _per_channel(istd, x.ndim)
     out = xhat * _per_channel(gamma, x.ndim)
     out += _per_channel(beta, x.ndim)
-    return [out], {"xhat": xhat, "istd": istd, "axes": axes, "mode": mode,
-                   "n": n_stat}
+    return [out], {"xhat": xhat, "istd": istd, "axes": axes, "n": n_stat}
 
 
 def _bwd_batchnorm(comp, ctx, weights, need, dout):
@@ -389,18 +389,15 @@ def _bwd_batchnorm(comp, ctx, weights, need, dout):
     dgamma = prod.sum(axis=axes)
     dbeta = dout.sum(axis=axes)
     dx = dout * _per_channel(gamma, dout.ndim)     # dxhat until scaled
-    if ctx["mode"] == "train":
-        # dx = istd / n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-        n = ctx["n"]
-        dsum = dx.sum(axis=axes, keepdims=True)
-        np.multiply(dx, xhat, out=prod)
-        np.multiply(xhat, prod.sum(axis=axes, keepdims=True), out=prod)
-        dx *= n
-        dx -= dsum
-        dx -= prod
-        dx *= _per_channel(istd, dout.ndim) / n
-    else:
-        dx *= _per_channel(istd, dout.ndim)
+    # dx = istd / n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
+    n = ctx["n"]
+    dsum = dx.sum(axis=axes, keepdims=True)
+    np.multiply(dx, xhat, out=prod)
+    np.multiply(xhat, prod.sum(axis=axes, keepdims=True), out=prod)
+    dx *= n
+    dx -= dsum
+    dx -= prod
+    dx *= _per_channel(istd, dout.ndim) / n
     return [dx], {"gamma": dgamma, "beta": dbeta}
 
 

@@ -278,12 +278,10 @@ def group_scores(ir, groups, strategy: str, topn: int | None = None,
     order; any other strategy scores relative_score of the group's L2
     importance over its counted_group.
     """
-    if strategy == "random" and rng is None:
-        raise ValueError("random criterion needs an rng")
     return {g.group_id: rng.random(g.width) if strategy == "random"
             else relative_score(group_l2_importance(
                 ir, counted_group(ir, g, strategy)),
-                topn or default_topn(g.width))
+                default_topn(g.width) if topn is None else topn)
             for g in prunable_groups(ir, groups)}
 
 
@@ -323,8 +321,6 @@ def build_learned_plan(ir, groups, scores: dict[str, np.ndarray],
     O(H + U log U + A*M) for H halves, U candidate units, A accepted
     units and M members per group.
     """
-    if not (0 < macs_fraction <= 1):
-        raise ValueError("macs_fraction must be in (0, 1]")
     shapes = engine.infer_shapes(ir)
     eligible = [g for g in groups if g.group_id in scores]
     kept = [h.channels for h in ir.halves()]
@@ -381,7 +377,8 @@ def end_to_end_prune(ir, ratio: float, mode: str = "uniform",
 
     In uniform mode, ratio is the per-group fraction of indices removed.
     In learned mode, ratio is the target fraction of MACs removed and a
-    single global score threshold decides where the width goes.
+    single global score threshold decides where the width goes. A network
+    with no MACs has no speedup to report and raises PruneError.
     """
     if mode not in ("uniform", "learned"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -389,6 +386,9 @@ def end_to_end_prune(ir, ratio: float, mode: str = "uniform",
         raise ConfigError(f"ratio must be in [0, 1), got {ratio}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    base_macs = engine.count_macs(ir)
+    if base_macs == 0:
+        raise PruneError("the network has no MACs to prune")
     d = build_depgraph(ir)
     groups = extract_groups(d)
     scores = group_scores(ir, groups, strategy, topn,
@@ -402,7 +402,6 @@ def end_to_end_prune(ir, ratio: float, mode: str = "uniform",
         {"ratio": ratio, "mode": mode, "strategy": strategy,
          "topn": topn, "seed": seed})
     pruned = prune(ir, plan, groups)
-    base_macs = engine.count_macs(ir)
     pruned_macs = engine.count_macs(pruned)
     by_id = {g.group_id: g for g in groups}
     report = {

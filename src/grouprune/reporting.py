@@ -67,8 +67,6 @@ def emit_sparsity_histogram(trace, path, bins: int = 20) -> None:
     are binned by importance normalized to the max within their group, so
     a fully zeroized group lands in the lowest bin.
     """
-    if not trace:
-        raise ValueError("empty sparsity trace")
     last = trace[-1]
     values = []
     by_group: dict[str, list[float]] = {}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,11 +99,6 @@ class SparseConfig:
             return cls(**doc)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def compute_gamma(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -183,15 +178,13 @@ def regularizer_grad(ir, coeffs: dict[str, np.ndarray],
     C = coefficient_map(...), multiplied in float32. A training loop
     builds the map once per gamma refresh and passes it on every step.
 
-    Each tensor's C * w is added into grads[name] (a fresh zero array when
-    grads has no entry, so a -0.0 product reads +0.0) block by block along
-    axis 0, so no full-size temporary is made.
+    grads holds every tensor of the map, as engine.backward's gradients
+    of every trainable parameter do. Each tensor's C * w is added into
+    grads[name] block by block along axis 0, so no full-size temporary is
+    made.
     """
     for name, c in coeffs.items():
-        w = ir.weights[name]
-        g = grads.get(name)
-        if g is None:
-            g = grads[name] = np.zeros_like(w)
+        w, g = ir.weights[name], grads[name]
         c = np.broadcast_to(c, w.shape)
         rows = max(1, _CHUNK * len(w) // w.size)
         for lo in range(0, len(w), rows):

@@ -5,8 +5,9 @@ import pytest
 
 from grouprune import zoo
 from grouprune.cli import main
-from grouprune.data import DATASETS
-from grouprune.ir import load_model, save_model
+from grouprune.ablate import make_data
+from grouprune.ir import (NetworkIR, activation, batchnorm, eltwise,
+                          init_weights, linear, load_model, save_model)
 import toy_models
 from random_nets import random_ir
 from reference import read_csv
@@ -325,7 +326,9 @@ def test_train_bad_config_field_exits_2(tmp_path, capsys, config, extra,
     (["--ratio", "-0.1"], "ratio must be in [0, 1)"),
     (["--ratio", "0.5", "--seed", "-1"], "seed must be >= 0"),
     (["--ratio", "0.5", "--topn", "1000"], "topn must be in"),
-], ids=["ratio-1", "ratio-negative", "seed-negative", "topn-too-wide"])
+    (["--ratio", "0.5", "--topn", "0"], "topn must be in"),
+], ids=["ratio-1", "ratio-negative", "seed-negative", "topn-too-wide",
+        "topn-0"])
 def test_prune_bad_setting_exits_2(residual_model, tmp_path, capsys, extra,
                                    message):
     rc = main(["prune", "--model", str(residual_model),
@@ -368,8 +371,8 @@ def test_train_on_data_that_does_not_fit_exits_2(model, data, message,
 @pytest.mark.parametrize("seed", range(30))
 def test_train_random_ir_exits_0_or_2(seed, tmp_path, capsys):
     ir = random_ir(seed)
-    fits = [name for name, make in DATASETS.items()
-            if make(seed=0)[0].shape[1:] == ir.input_shape]
+    fits = [name for name in ("spiral", "shapes")
+            if make_data(name, 0)[0][0].shape[1:] == ir.input_shape]
     path = tmp_path / "model.json"
     save_model(ir, path)
     for data in fits:
@@ -379,6 +382,43 @@ def test_train_random_ir_exits_0_or_2(seed, tmp_path, capsys):
         assert rc in (0, 2), (data, err)
         if rc == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# small validated networks of 2 inputs and 2 outputs, as (components, edges,
+# raw-input consumers), that neither the bundled nor the random models cover
+EDGE_CASES = {
+    "activation-only": ([activation("act", 2)], [], [("act", 0)]),
+    "bias-free": ([linear("fc1", 2, 8, bias=False), activation("act", 8),
+                   linear("fc2", 8, 2, bias=False)],
+                  [("fc1", 0, "act", 0), ("act", 0, "fc2", 0)], [("fc1", 0)]),
+    "raw-mul": ([eltwise("mul", 2, op="mul"), linear("fc", 2, 2)],
+                [("mul", 0, "fc", 0)], [("mul", 0), ("mul", 1)]),
+    "batchnorm-exit": ([linear("fc", 2, 2), batchnorm("bn", 2)],
+                       [("fc", 0, "bn", 0)], [("fc", 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_case_network_exits_cleanly(case, tmp_path, capsys):
+    """Every command ends in an exit code, never a traceback; a failure
+    prints one error line. The activation-only network has no MACs, so
+    its prunes exit 3."""
+    comps, edges, consumers = EDGE_CASES[case]
+    ir = NetworkIR(comps, edges, (2,), consumers)
+    init_weights(ir, np.random.default_rng(0))
+    path = tmp_path / "model.json"
+    save_model(ir, path)
+    for i, cmd in enumerate((["inspect"],
+                             ["prune", "--ratio", "0.5"],
+                             ["prune", "--ratio", "0.5", "--mode", "learned"],
+                             ["train", "--data", "spiral", "--epochs", "1"])):
+        rc = main(cmd + ["--model", str(path), "--out", str(tmp_path / str(i))])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), (cmd, err)
+        if rc:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if case == "activation-only" and cmd[0] == "prune":
+            assert rc == 3 and "no MACs" in err
 
 
 def test_ablate_unknown_strategy_exits_2(tmp_path):

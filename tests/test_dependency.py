@@ -2,11 +2,9 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from grouprune import zoo
 from grouprune.dependency import INTER, INTRA, build_depgraph, export_depgraph
-from grouprune.errors import GroupruneError
 from grouprune.ir import NetworkIR, batchnorm, conv2d, init_weights
 from random_nets import random_ir
 import toy_models
@@ -129,13 +127,6 @@ def test_export_three_component_ir_is_6x6(tmp_path):
     export_depgraph(d, tmp_path / "dep.csv")
     header, rows = read_csv(tmp_path / "dep.csv")
     assert len(rows) == 6 and len(header) == 7
-
-
-def test_export_empty_network_errors(tmp_path):
-    ir = NetworkIR([], [], (4,), [])
-    d = build_depgraph(ir)
-    with pytest.raises(GroupruneError, match="no components"):
-        export_depgraph(d, tmp_path / "dep.csv")
 
 
 def _port_offset(comp, port, kind):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from grouprune.reporting import (emit_sparsity_histogram, emit_table,
                                  emit_trace, format_value, histogram,
@@ -60,11 +59,6 @@ def test_sparsity_histogram_zeroized_group_lowest_bin(tmp_path):
     _h, rows = read_csv(tmp_path / "h.csv")
     counts = [int(r[3]) for r in rows]
     assert counts[0] == 2
-
-
-def test_sparsity_histogram_rejects_empty():
-    with pytest.raises(ValueError, match="empty"):
-        emit_sparsity_histogram([], "unused.csv")
 
 
 def test_trace_round_trip(tmp_path):

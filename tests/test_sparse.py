@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,11 +31,13 @@ def _imp(values):
 
 
 def _reg_grad(ir, groups, gammas, reg_weight, grads=None):
-    """grads (a new dict by default) plus the regularizer gradient, from
-    the coefficient map of the groups, as train_sparse adds it."""
-    grads = {} if grads is None else grads
-    regularizer_grad(ir, coefficient_map(ir, groups, gammas, reg_weight),
-                     grads)
+    """grads (by default zero gradients for the map's tensors) plus the
+    regularizer gradient, from the coefficient map of the groups, as
+    train_sparse adds it."""
+    coeffs = coefficient_map(ir, groups, gammas, reg_weight)
+    if grads is None:
+        grads = {name: np.zeros_like(ir.weights[name]) for name in coeffs}
+    regularizer_grad(ir, coeffs, grads)
     return grads
 
 
@@ -435,7 +440,7 @@ def test_gamma_refresh_period_respected():
 
 def test_config_round_trip(tmp_path):
     cfg = SparseConfig(alpha=2.0, reg_weight=3e-4, epochs=7, seed=9)
-    cfg.to_json(tmp_path / "cfg.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(asdict(cfg)))
     loaded = SparseConfig.from_json(tmp_path / "cfg.json")
     assert loaded == cfg
 
