@@ -41,21 +41,21 @@ class AblationCell:
     achieved_speedup: float
 
 
+def _dataset(name: str):
+    """(model builder, sample builder) of a dataset, each taking the seed."""
+    if name == "shapes":
+        return zoo.residual_cnn, lambda seed: shapes(n=640, seed=seed)
+    if name == "spiral":
+        return zoo.spiral_mlp, lambda seed: spiral(n_per_class=320, seed=seed)
+    raise ConfigError(f"unknown dataset {name!r}")
+
+
 def make_model(dataset: str, seed: int):
-    if dataset == "shapes":
-        return zoo.residual_cnn(seed=seed)
-    if dataset == "spiral":
-        return zoo.spiral_mlp(seed=seed)
-    raise ConfigError(f"unknown dataset {dataset!r}")
+    return _dataset(dataset)[0](seed=seed)
 
 
 def make_data(dataset: str, seed: int):
-    if dataset == "shapes":
-        x, y = shapes(n=640, seed=seed)
-    elif dataset == "spiral":
-        x, y = spiral(n_per_class=320, seed=seed)
-    else:
-        raise ConfigError(f"unknown dataset {dataset!r}")
+    x, y = _dataset(dataset)[1](seed)
     return train_test_split(x, y, test_fraction=0.25, seed=seed)
 
 

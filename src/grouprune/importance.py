@@ -105,7 +105,9 @@ def select_prune_indices(scores, ratio: float, min_keep: int = 1,
                          units=None, windows=()) -> tuple[int, ...]:
     """Lowest-scoring indices to prune, never leaving fewer than min_keep.
 
-    Prunes floor(ratio*K) indices; ties are pruned lower-index first.
+    Prunes floor(ratio*K) indices for a ratio in [0, 1) and a min_keep of
+    at least 1, both decided by the caller; ties are pruned lower-index
+    first.
     units, when given, partition the indices into atomic tuples that must
     be selected together (grouped convolutions); a unit's score is the sum
     of its indices' scores, and units are ordered once by (score, first
@@ -114,11 +116,6 @@ def select_prune_indices(scores, ratio: float, min_keep: int = 1,
     """
     scores = np.asarray(scores, dtype=np.float64)
     k = len(scores)
-    if not (0 <= ratio < 1):
-        raise ValueError(f"ratio must be in [0, 1), got {ratio}")
-    if min_keep < 1:
-        raise ValueError("min_keep must be >= 1")
-
     if units is None:
         units = tuple((i,) for i in range(k))
     first = np.array([u[0] for u in units], dtype=np.int64)

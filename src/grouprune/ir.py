@@ -207,10 +207,6 @@ class NetworkIR:
                                                  tuple(spec.slices(comp, side))))
         return list(self._halves)
 
-    @property
-    def input_channels(self) -> int:
-        return self.input_shape[0]
-
     def consumers_of(self, comp_id: str) -> list[Edge]:
         return list(self._consumers.get(comp_id, ()))
 
@@ -334,8 +330,8 @@ class NetworkIR:
                 v.append(f"{cid}: no such input port {port}")
                 continue
             want = ins[port][1]
-            if want != self.input_channels:
-                v.append(f"network input has {self.input_channels} channels but "
+            if want != self.input_shape[0]:
+                v.append(f"network input has {self.input_shape[0]} channels but "
                          f"{cid}:in[{port}] expects {want}")
 
         # single output (port 0 of the sink), every split port consumed,

@@ -4,7 +4,8 @@ A prune plan names, per group, the canonical indices to drop. Applying it
 slices every member's parameter tensors, updates channel attributes
 (including concat/split size lists, flatten fan-out into linear columns,
 and conv group counts), and returns a new validated IR. The input IR is
-never mutated.
+never mutated. A plan never changes the network's input or output width:
+prunable_groups names the groups it may prune.
 """
 
 from __future__ import annotations
@@ -64,25 +65,7 @@ def config_hash(config: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Boundary groups and per-group minimum widths
-
-
-def boundary_roles(ir, group: Group) -> set[str]:
-    """Which network boundaries a group touches.
-
-    "input": a member half reads the raw network input, so pruning it
-    changes the input interface. "output": the group owns the exit
-    component's output half, so pruning it drops output dimensions.
-    """
-    roles = set()
-    raw_fed = {cid for cid, _ in ir.input_consumers}
-    exit_id = ir.exit_component().comp_id
-    for m in group.members:
-        if m.half.side == "in" and m.half.component_id in raw_fed:
-            roles.add("input")
-        if m.half.side == "out" and m.half.component_id == exit_id:
-            roles.add("output")
-    return roles
+# Prunable groups and per-group minimum widths
 
 
 def min_keep_for(ir, group: Group) -> int:
@@ -96,9 +79,16 @@ def min_keep_for(ir, group: Group) -> int:
 
 
 def prunable_groups(ir, groups: list[Group]) -> list[Group]:
-    """Groups eligible for automatic pruning: everything that does not
-    touch the raw network input or the network output dimension."""
-    return [g for g in groups if not boundary_roles(ir, g)]
+    """The groups a plan may prune: those with no member that reads the
+    raw network input and none that is the exit component's output half.
+    The network's input and output widths are fixed interfaces, and this
+    is the one rule that keeps them so: the builders plan only these
+    groups and prune refuses any other."""
+    raw_fed = {cid for cid, _ in ir.input_consumers}
+    exit_id = ir.exit_component().comp_id
+    return [g for g in groups if not any(
+        m.half.component_id == exit_id if m.half.side == "out"
+        else m.half.component_id in raw_fed for m in g.members)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +107,10 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
 
     Plans are validated against freshly extracted groups: an entry whose
     fingerprint no longer matches (the IR changed since planning) is an
-    error, as is a selection that violates atomic units or empties a
-    group.
+    error, as is a selection on a group that prunable_groups leaves out,
+    or one that violates atomic units or empties a group. So a plan never
+    changes the network's input or output width, and the result keeps
+    ir.input_shape.
 
     Every weight of the result is a fresh C-contiguous array that shares
     no memory with the input, so a caller may train it in place. Each
@@ -128,10 +120,10 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
     if groups is None:
         groups = extract_groups(build_depgraph(ir))
     by_id = {g.group_id: g for g in groups}
+    allowed = {g.group_id for g in prunable_groups(ir, groups)}
 
     half_removed: dict[str, list[int]] = {}
     keep: dict[str, dict[int, np.ndarray]] = {}   # name -> axis -> kept locals
-    raw_removed: set[int] | None = None
 
     for entry in plan.entries:
         group = by_id.get(entry.group_id)
@@ -140,6 +132,9 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
                              "group structure changed since planning")
         if not entry.indices:
             continue
+        if entry.group_id not in allowed:
+            raise PruneError(f"{entry.group_id}: the group sets the network's "
+                             "input or output width, which a plan never changes")
         sel = set(entry.indices)
         if not sel <= set(range(group.width)):
             raise PruneError(f"{entry.group_id}: indices out of range")
@@ -163,23 +158,6 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
                     axes[axis] = np.ones(ir.weights[name].shape[axis], dtype=bool)
                 axes[axis][half_removed[m.half.node_id]] = False
 
-    # raw-input consistency: if any raw-fed input half is pruned, every raw
-    # consumer must drop the same raw channels
-    raw_ports = list(ir.input_consumers)
-    touched = [(cid, port) for cid, port in raw_ports
-               if f"{cid}:in" in half_removed]
-    if touched:
-        sets = []
-        for cid, port in raw_ports:
-            off = ir.ports(cid).ins[port][0]
-            locs = half_removed.get(f"{cid}:in", [])
-            sets.append({l - off for l in locs
-                         if off <= l < off + ir.input_channels})
-        raw_removed = sets[0]
-        if any(s != raw_removed for s in sets[1:]):
-            raise PruneError("inconsistent pruning of raw network input "
-                             "across its consumers")
-
     # slice tensors
     new_weights = {}
     for name, arr in ir.weights.items():
@@ -199,10 +177,7 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
         new_components.append(_ir.Component(comp.comp_id, comp.kind, attrs,
                                             dict(comp.params)))
 
-    input_shape = list(ir.input_shape)
-    if raw_removed:
-        input_shape[0] -= len(raw_removed)
-    pruned = _ir.NetworkIR(new_components, list(ir.edges), tuple(input_shape),
+    pruned = _ir.NetworkIR(new_components, list(ir.edges), ir.input_shape,
                            list(ir.input_consumers), new_weights)
     violations = pruned.validate()
     if violations:
@@ -386,6 +361,10 @@ def end_to_end_prune(ir, ratio: float, mode: str = "uniform",
         raise ConfigError(f"ratio must be in [0, 1), got {ratio}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if topn is not None and topn < 1:
+        raise ConfigError(f"topn must be in [1, group width], got {topn}")
+    if topn is not None and strategy == "random":
+        raise ConfigError("topn does not apply to the random strategy")
     base_macs = engine.count_macs(ir)
     if base_macs == 0:
         raise PruneError("the network has no MACs to prune")

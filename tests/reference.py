@@ -745,24 +745,20 @@ def reference_batchnorm_forward(comp, x, weights, mode):
     xhat = (x - _bn_channel(mu, x.ndim)) * _bn_channel(istd, x.ndim)
     out = xhat * _bn_channel(gamma, x.ndim) + _bn_channel(beta, x.ndim)
     return out.astype(np.float32), {"xhat": xhat, "istd": istd, "axes": axes,
-                                    "mode": mode, "n": x.size // c}
+                                    "n": x.size // c}
 
 
 def reference_batchnorm_backward(comp, ctx, weights, dout):
-    """Batchnorm backward, out of place: (dx, dgamma, dbeta)."""
+    """Train-mode batchnorm backward, out of place: (dx, dgamma, dbeta)."""
     gamma = weights[comp.params["gamma"]]
-    xhat, istd, axes = ctx["xhat"], ctx["istd"], ctx["axes"]
+    xhat, istd, axes, n = ctx["xhat"], ctx["istd"], ctx["axes"], ctx["n"]
     dgamma = (dout * xhat).sum(axis=axes)
     dbeta = dout.sum(axis=axes)
     dxhat = dout * _bn_channel(gamma, dout.ndim)
-    if ctx["mode"] == "train":
-        n = ctx["n"]
-        term = (n * dxhat
-                - dxhat.sum(axis=axes, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-        dx = _bn_channel(istd, dout.ndim) / n * term
-    else:
-        dx = dxhat * _bn_channel(istd, dout.ndim)
+    term = (n * dxhat
+            - dxhat.sum(axis=axes, keepdims=True)
+            - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+    dx = _bn_channel(istd, dout.ndim) / n * term
     return dx.astype(np.float32), dgamma, dbeta
 
 

@@ -327,8 +327,12 @@ def test_train_bad_config_field_exits_2(tmp_path, capsys, config, extra,
     (["--ratio", "0.5", "--seed", "-1"], "seed must be >= 0"),
     (["--ratio", "0.5", "--topn", "1000"], "topn must be in"),
     (["--ratio", "0.5", "--topn", "0"], "topn must be in"),
+    (["--ratio", "0.5", "--topn", "2", "--strategy", "random"],
+     "topn does not apply to the random strategy"),
+    (["--ratio", "0.5", "--topn", "0", "--strategy", "random"],
+     "topn must be in"),
 ], ids=["ratio-1", "ratio-negative", "seed-negative", "topn-too-wide",
-        "topn-0"])
+        "topn-0", "topn-random", "topn-0-random"])
 def test_prune_bad_setting_exits_2(residual_model, tmp_path, capsys, extra,
                                    message):
     rc = main(["prune", "--model", str(residual_model),

@@ -267,13 +267,6 @@ def test_select_respects_units():
     assert sel == ()
 
 
-def test_select_rejects_bad_args():
-    with pytest.raises(ValueError):
-        select_prune_indices([1, 2], ratio=1.0)
-    with pytest.raises(ValueError):
-        select_prune_indices([1, 2], ratio=0.5, min_keep=0)
-
-
 # -- ordering against the sorted()-key oracles --------------------------------
 
 

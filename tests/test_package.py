@@ -1,4 +1,5 @@
-"""The package's public names, and no definition that nothing reads."""
+"""The package's public names, no definition that nothing reads, and no
+raise outside the errors.py taxonomy."""
 
 import ast
 import pathlib
@@ -48,3 +49,18 @@ def test_every_src_definition_is_read_in_src():
               and not any(name in names for node, names in reads
                           if node is not own)]
     assert unread == []
+
+
+def test_every_src_raise_is_an_errors_class():
+    """Every raise in the package names a class defined in errors.py, so
+    the CLI can map each fault to an exit code."""
+    taxonomy = {n.name for n in ast.parse((SRC / "errors.py").read_text()).body
+                if isinstance(n, ast.ClassDef)}
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Raise):
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                if getattr(exc, "id", None) not in taxonomy:
+                    outside.append(f"{path.name}:{n.lineno}")
+    assert outside == []

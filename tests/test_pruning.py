@@ -8,11 +8,11 @@ from grouprune.grouping import extract_groups
 from grouprune.ir import (NetworkIR, activation, batchnorm, conv2d, eltwise,
                           flatten, init_weights, linear, load_model, pool,
                           save_model)
-from grouprune.pruning import (PlanEntry, PrunePlan, boundary_roles,
-                               build_learned_plan, build_uniform_plan,
-                               end_to_end_prune, format_speedup_line,
-                               group_scores, min_keep_for, plan_macs,
-                               prunable_groups, prune, speedup)
+from grouprune.pruning import (PlanEntry, PrunePlan, build_learned_plan,
+                               build_uniform_plan, end_to_end_prune,
+                               format_speedup_line, group_scores,
+                               min_keep_for, plan_macs, prunable_groups,
+                               prune, speedup)
 from grouprune.sparse import STRATEGIES
 from random_nets import random_ir
 import toy_models
@@ -180,41 +180,51 @@ def test_plan_emptying_a_port_is_rejected(build, member, indices, comp):
         prune(ir, plan, groups)
 
 
-def _two_raw_readers():
-    """fa and fb both read the raw input; nothing else couples their
-    input halves, so each is a group of its own."""
-    comps = [linear("fa", 4, 3), linear("fb", 4, 3), eltwise("add", 3),
-             linear("head", 3, 2)]
-    edges = [("fa", 0, "add", 0), ("fb", 0, "add", 1), ("add", 0, "head", 0)]
-    ir = NetworkIR(comps, edges, (4,), [("fa", 0), ("fb", 0)])
-    init_weights(ir, np.random.default_rng(3))
-    ir.check_valid()
-    groups = extract_groups(build_depgraph(ir))
-    fa, fb = (next(g for g in groups if g.member_ids() == {f"{cid}:in"})
-              for cid in ("fa", "fb"))
-    return ir, groups, fa, fb
+def _touches(ir, group) -> set[str]:
+    """Which of the network's fixed widths a group touches, by a scan of
+    its members: "input" if one reads the raw network input, "output" if
+    one is the output half of the exit, the one component no edge reads."""
+    raw_fed = {cid for cid, _ in ir.input_consumers}
+    (exit_id,) = {c.comp_id for c in ir.components} - {e.src for e in ir.edges}
+    return ({"input" for m in group.members
+             if m.half.side == "in" and m.half.component_id in raw_fed}
+            | {"output" for m in group.members
+               if m.half.node_id == f"{exit_id}:out"})
 
 
-def test_consistent_raw_input_pruning_shrinks_the_input():
-    ir, groups, fa, fb = _two_raw_readers()
-    drop = (1, 3)
-    plan = PrunePlan(entries=[PlanEntry(g.group_id, g.fingerprint, drop)
-                              for g in (fa, fb)])
-    pruned = prune(ir, plan, groups)
-    assert pruned.input_shape == (2,)
-    z = zeroize_group(zeroize_group(ir, fa, drop), fb, drop)
-    x = np.random.default_rng(4).normal(size=(8, 4)).astype(np.float32)
-    np.testing.assert_array_equal(engine.forward(pruned, x[:, [0, 2]]),
-                                  engine.forward(z, x))
+def _snapshot(ir):
+    return (ir.input_shape,
+            [(c.comp_id, c.kind, repr(c.attrs)) for c in ir.components],
+            {name: arr.tobytes() for name, arr in ir.weights.items()})
 
 
-@pytest.mark.parametrize("fb_drop", [(), (1, 2)])
-def test_inconsistent_raw_input_pruning_rejected(fb_drop):
-    ir, groups, fa, fb = _two_raw_readers()
-    plan = PrunePlan(entries=[PlanEntry(fa.group_id, fa.fingerprint, (1, 3)),
-                              PlanEntry(fb.group_id, fb.fingerprint, fb_drop)])
-    with pytest.raises(PruneError, match="raw network input"):
-        prune(ir, plan, groups)
+def test_prune_accepts_only_the_groups_prunable_groups_allows():
+    """prunable_groups leaves out exactly the groups that touch the input
+    or output width; prune refuses a one-index plan on each of them and
+    leaves the IR as it was, and every builder plan passes."""
+    refused = {"input": 0, "output": 0}
+    for name, ir in oracle_models():
+        groups = extract_groups(build_depgraph(ir))
+        boundary = [g for g in groups if _touches(ir, g)]
+        allowed = {g.group_id for g in prunable_groups(ir, groups)}
+        assert ({g.group_id for g in boundary}
+                == {g.group_id for g in groups} - allowed), name
+        before = _snapshot(ir)
+        for g in boundary:
+            plan = PrunePlan(entries=[PlanEntry(g.group_id, g.fingerprint, (0,))])
+            with pytest.raises(PruneError, match="input or output width"):
+                prune(ir, plan, groups)
+            for role in _touches(ir, g):
+                refused[role] += 1
+        assert _snapshot(ir) == before, name
+        for strategy in STRATEGIES:
+            scores = group_scores(ir, groups, strategy,
+                                  rng=np.random.default_rng(0))
+            for plan in (build_uniform_plan(ir, groups, scores, 0.5),
+                         build_learned_plan(ir, groups, scores, 0.5)):
+                assert {e.group_id for e in plan.entries} <= allowed
+                prune(ir, plan, groups)
+    assert min(refused.values()) > 0, refused
 
 
 # -- speedup ------------------------------------------------------------------
@@ -268,10 +278,8 @@ def test_uniform_plan_skips_boundary_groups():
     groups = extract_groups(build_depgraph(ir))
     plan = build_uniform_plan(ir, groups,
                               group_scores(ir, groups, "full-grouping"), 0.5)
-    planned = {e.group_id for e in plan.entries}
-    for g in groups:
-        if boundary_roles(ir, g):
-            assert g.group_id not in planned
+    boundary = {g.group_id for g in groups if _touches(ir, g)}
+    assert boundary and not boundary & {e.group_id for e in plan.entries}
 
 
 def test_learned_plan_prunes_zeroized_group_hardest():
