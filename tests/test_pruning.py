@@ -180,6 +180,32 @@ def test_plan_emptying_a_port_is_rejected(build, member, indices, comp):
         prune(ir, plan, groups)
 
 
+def _two_raw_readers():
+    """fa and fb both read the raw input; nothing else couples their
+    input halves, so each is a group of its own."""
+    comps = [linear("fa", 4, 3), linear("fb", 4, 3), eltwise("add", 3),
+             linear("head", 3, 2)]
+    edges = [("fa", 0, "add", 0), ("fb", 0, "add", 1), ("add", 0, "head", 0)]
+    ir = NetworkIR(comps, edges, (4,), [("fa", 0), ("fb", 0)])
+    init_weights(ir, np.random.default_rng(3))
+    ir.check_valid()
+    groups = extract_groups(build_depgraph(ir))
+    fa, fb = (next(g for g in groups if g.member_ids() == {f"{cid}:in"})
+              for cid in ("fa", "fb"))
+    return ir, groups, fa, fb
+
+
+@pytest.mark.parametrize("fb_drop", [(), (1, 2)])
+def test_inconsistent_raw_input_pruning_rejected(fb_drop):
+    """Raw-fed groups are never prunable, so a plan that drops input
+    channels on one raw reader is refused whatever the other one drops."""
+    ir, groups, fa, fb = _two_raw_readers()
+    plan = PrunePlan(entries=[PlanEntry(fa.group_id, fa.fingerprint, (1, 3)),
+                              PlanEntry(fb.group_id, fb.fingerprint, fb_drop)])
+    with pytest.raises(PruneError, match="input or output width"):
+        prune(ir, plan, groups)
+
+
 def _touches(ir, group) -> set[str]:
     """Which of the network's fixed widths a group touches, by a scan of
     its members: "input" if one reads the raw network input, "output" if
