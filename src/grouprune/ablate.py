@@ -132,8 +132,10 @@ def run_cell(trained, strategy: str, target_speedup: float, mode: str,
 
 def run_ablation(dataset: str, strategies, target_speedups, modes, seeds,
                  cfg: SparseConfig):
-    """Full grid; returns {(strategy, f"{speedup}x/{mode}"): median accuracy}
-    plus the raw per-cell results, in strategy, target, mode, seed order.
+    """Full grid; returns {(strategy, f"{target:g}x/{mode}"): median
+    accuracy} over every cell under each key (a strategy listed twice pools
+    its cells), plus the raw per-cell results, in strategy, target, mode,
+    seed order.
 
     Each (strategy, seed) model is trained once, on its first cell, and
     every cell of that strategy and seed starts from it; the models of one
@@ -149,12 +151,8 @@ def run_ablation(dataset: str, strategies, target_speedups, modes, seeds,
                                                          seed, cfg)
                     cells.append(run_cell(trained[seed], strategy, target,
                                           mode, seed, cfg))
-    table = {}
-    for strategy in strategies:
-        for target in target_speedups:
-            for mode in modes:
-                accs = [c.accuracy for c in cells
-                        if (c.strategy, c.target_speedup, c.mode)
-                        == (strategy, target, mode)]
-                table[(strategy, f"{target:g}x/{mode}")] = float(np.median(accs))
-    return table, cells
+    accs = {}
+    for c in cells:
+        accs.setdefault((c.strategy, f"{c.target_speedup:g}x/{c.mode}"),
+                        []).append(c.accuracy)
+    return {key: float(np.median(a)) for key, a in accs.items()}, cells

@@ -22,7 +22,7 @@ from .errors import (ConfigError, GroupingError, ModelParseError, PruneError,
 from .grouping import derive_grouping_matrix, export_grouping, extract_groups, group_report
 from .ir import load_model, save_model
 from .pruning import end_to_end_prune, format_speedup_line
-from .reporting import emit_sparsity_histogram, emit_table, emit_trace, write_csv
+from .reporting import emit_sparsity_histogram, emit_trace, write_csv
 from .sparse import STRATEGIES, SparseConfig, train_sparse
 
 EXIT_PARSE = 2
@@ -67,6 +67,9 @@ def cmd_train(args) -> int:
         SparseConfig.from_json(args.config) if args.config else SparseConfig(),
         alpha=args.alpha, reg_weight=args.reg_weight, epochs=args.epochs,
         lr=args.lr, seed=args.seed, strategy=args.strategy)
+    if cfg.strategy == "random":
+        raise ConfigError("train does not accept the random strategy: "
+                          "it has nothing to regularize")
 
     (x_tr, y_tr), (x_te, y_te) = make_data(args.data, cfg.seed)
     groups = extract_groups(build_depgraph(ir))
@@ -134,9 +137,10 @@ def cmd_ablate(args) -> int:
     table, cells = run_ablation(args.data, strategies, speedups, modes, seeds,
                                 cfg)
     out = _out_dir(args)
-    col_keys = [f"{t:g}x/{m}" for t in speedups for m in modes]
-    emit_table(table, out / "ablation.csv", row_key="strategy",
-               col_keys=col_keys)
+    cols = [f"{t:g}x/{m}" for t in speedups for m in modes]
+    write_csv(out / "ablation.csv", ["strategy", *cols],
+              [[s] + [table[(s, c)] for c in cols]
+               for s in sorted(set(strategies))])
     write_csv(out / "ablation_cells.csv",
               ["strategy", "target_speedup", "mode", "seed", "accuracy",
                "achieved_speedup"],

@@ -1,9 +1,14 @@
-"""CSV, histogram and table emitters.
+"""CSV emitters: plain rows, labelled 0/1 matrices, and the training
+trace with its final-epoch sparsity histogram.
 
 One dialect everywhere: comma separator, '.' decimal point, a header row,
 LF line endings. Floats are formatted with repr-level precision so that a
 written file re-parses to the same values and identical runs produce
 byte-identical output.
+
+A training trace (sparse.train_sparse) is a list with one entry per
+epoch, the list index being the epoch; each entry maps a group id to its
+group_l2_importance array, indexed by canonical index.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import pathlib
 
 import numpy as np
+
+HISTOGRAM_BINS = 20
 
 
 def format_value(x) -> str:
@@ -46,59 +53,29 @@ def write_binary_matrix(path, corner: str, labels, matrix) -> None:
     pathlib.Path(path).write_text(text, newline="\n")
 
 
-def histogram(values, bins: int = 20, lo: float = 0.0, hi: float = 1.0):
-    """Fixed-width histogram; returns (edges, counts) with counts summing
-    to len(values). Values at or beyond hi land in the last bin."""
-    edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
-    counts = [0] * bins
-    width = (hi - lo) / bins
-    for v in values:
-        idx = int((v - lo) / width)
-        idx = min(max(idx, 0), bins - 1)
-        counts[idx] += 1
-    return edges, counts
-
-
-def emit_sparsity_histogram(trace, path, bins: int = 20) -> None:
+def emit_sparsity_histogram(trace, path) -> None:
     """Histogram of group-level sparsity in the final epoch of a training
-    trace.
+    trace, in HISTOGRAM_BINS bins of width 1 / HISTOGRAM_BINS over [0, 1].
 
-    Each trace epoch holds per-(group, index) importance values; indices
-    are binned by importance normalized to the max within their group, so
-    a fully zeroized group lands in the lowest bin.
+    Each group's importance array is divided by its own max (an all-zero
+    group by 1), so a fully zeroized group lands in the lowest bin and a
+    group's max in the last one.
     """
-    last = trace[-1]
-    values = []
-    by_group: dict[str, list[float]] = {}
-    for group_id, _k, imp in last["entries"]:
-        by_group.setdefault(group_id, []).append(imp)
-    for imps in by_group.values():
-        top = max(imps)
-        scale = top if top > 0 else 1.0
-        values.extend(v / scale for v in imps)
-    edges, counts = histogram(values, bins=bins)
-    rows = [[last["epoch"], edges[i], edges[i + 1], count]
-            for i, count in enumerate(counts)]
+    width = 1.0 / HISTOGRAM_BINS
+    scaled = [imps / (top if (top := imps.max()) > 0 else 1.0)
+              for imps in trace[-1].values()]
+    bins = np.clip((np.concatenate([np.zeros(0), *scaled]) / width)
+                   .astype(np.int64), 0, HISTOGRAM_BINS - 1)
+    counts = np.bincount(bins, minlength=HISTOGRAM_BINS).tolist()
+    rows = [[len(trace) - 1, i / HISTOGRAM_BINS, (i + 1) / HISTOGRAM_BINS, n]
+            for i, n in enumerate(counts)]
     write_csv(path, ["epoch", "bin_lo", "bin_hi", "count"], rows)
 
 
 def emit_trace(trace, path) -> None:
     """Sparsity trace as CSV: one row per (epoch, group, index)."""
-    header = ["epoch", "group", "k", "importance"]
-    rows = []
-    for epoch_entry in trace:
-        for group_id, k, imp in epoch_entry["entries"]:
-            rows.append([epoch_entry["epoch"], group_id, k, imp])
-    write_csv(path, header, rows)
-
-
-def emit_table(cells: dict, path, row_key: str = "row", col_keys=None) -> None:
-    """Grid of cells keyed by (row, col); missing cells become "n/a"."""
-    rows_names = sorted({r for r, _ in cells}) if cells else []
-    cols_names = col_keys if col_keys is not None else sorted({c for _, c in cells})
-    header = [row_key] + list(cols_names)
-    rows = []
-    for r in rows_names:
-        rows.append([r] + [format_value(cells[(r, c)]) if (r, c) in cells else "n/a"
-                           for c in cols_names])
-    write_csv(path, header, rows)
+    write_csv(path, ["epoch", "group", "k", "importance"],
+              [[epoch, group_id, k, imp]
+               for epoch, by_group in enumerate(trace)
+               for group_id, imps in by_group.items()
+               for k, imp in enumerate(imps.tolist())])

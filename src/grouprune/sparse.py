@@ -250,11 +250,14 @@ def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group]):
     dataset is (X, y); the IR's weights are updated in place. The
     regularizer acts on the counted_group of each of sparsity_groups(...).
 
-    Returns the sparsity trace: per epoch, (group id, canonical index,
-    importance over every member) for each group of sparsity_groups(...).
-    Raises TrainingDiverged with the partial trace if the loss goes
-    non-finite, and ShapeError before the first step if the network has
-    fewer outputs than the labels have classes.
+    Returns the sparsity trace: a list with one entry per epoch, the list
+    index being the epoch. Each entry maps the id of each group of
+    sparsity_groups(...) to its group_l2_importance array at the end of
+    that epoch: the importance of each canonical index over every member,
+    not only the counted ones. Raises TrainingDiverged with the partial
+    trace, in the same shape, if the loss goes non-finite, and ShapeError
+    before the first step if the network has fewer outputs than the labels
+    have classes.
     """
     x_all, y_all = dataset
     classes = int(y_all.max()) + 1
@@ -290,10 +293,5 @@ def train_sparse(ir, dataset, cfg: SparseConfig, groups: list[Group]):
                 gammas = refresh_gamma(ir, reg_groups, cfg.alpha)
                 coeffs = coefficient_map(ir, reg_groups, gammas,
                                          cfg.reg_weight, out=coeffs)
-        entries = []
-        for g in traced:
-            imp = group_l2_importance(ir, g)
-            entries.extend((g.group_id, k, float(imp[k]))
-                           for k in range(g.width))
-        trace.append({"epoch": epoch, "entries": entries})
+        trace.append({g.group_id: group_l2_importance(ir, g) for g in traced})
     return ir, trace

@@ -44,6 +44,10 @@ finite differences check regularizer_grad against, and near_zero_fraction
 counts the near-zero indices of a trace epoch. Nothing in the package
 calls either.
 
+reference_histogram is the fixed-width histogram the sparsity histogram
+was binned with, one value at a time in Python floats; the package's
+vectorized binning must give the same counts.
+
 read_csv parses the CSV files the package writes, and
 trainable_param_names lists the tensors SGD trains.
 """
@@ -691,20 +695,32 @@ def regularizer_value(ir, groups, gammas, reg_weight: float) -> float:
 
 def near_zero_fraction(trace_epoch, threshold: float = 0.01):
     """Count of indices with importance below threshold * group max, and
-    the total number of indices, for one trace epoch."""
-    by_group: dict[str, list[float]] = {}
-    for gid, _k, imp in trace_epoch["entries"]:
-        by_group.setdefault(gid, []).append(imp)
+    the total number of indices, for one trace epoch: {group id:
+    importance array}."""
     near = 0
     total = 0
-    for values in by_group.values():
-        top = max(values)
+    for values in trace_epoch.values():
+        top = values.max()
         if top <= 0:
             near += len(values)
         else:
-            near += sum(1 for v in values if v < threshold * top)
+            near += int((values < threshold * top).sum())
         total += len(values)
     return near, total
+
+
+def reference_histogram(values, bins: int = 20, lo: float = 0.0,
+                        hi: float = 1.0):
+    """Fixed-width histogram; returns (edges, counts) with counts summing
+    to len(values). Values at or beyond hi land in the last bin."""
+    edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
+    counts = [0] * bins
+    width = (hi - lo) / bins
+    for v in values:
+        idx = int((v - lo) / width)
+        idx = min(max(idx, 0), bins - 1)
+        counts[idx] += 1
+    return edges, counts
 
 
 def reference_sgd_step(ir, grads, state, lr: float, momentum: float) -> None:

@@ -179,3 +179,20 @@ def test_ablation_cells_leave_the_trained_model_unchanged(monkeypatch):
     assert sorted(models) == sorted((s, seed) for s in GRID[0]
                                     for seed in GRID[3])
     assert all(len(ids) == 1 for ids in models.values())
+
+
+def test_ablation_table_pools_a_repeated_strategy(monkeypatch):
+    # cell accuracies count up in grid order, so each median names its cells
+    accuracies = iter(range(12))
+
+    def cell(_trained, strategy, target, mode, seed, _cfg):
+        return ablate.AblationCell(strategy, target, mode, seed,
+                                   float(next(accuracies)), target)
+
+    monkeypatch.setattr(ablate, "train_cell_model", lambda *args: None)
+    monkeypatch.setattr(ablate, "run_cell", cell)
+    table, cells = run_ablation("spiral", ["b", "a", "b"], [2.0, 3.0],
+                                ["uniform"], [0, 1], CFG)
+    assert len(cells) == 12
+    assert table == {("b", "2x/uniform"): 4.5, ("b", "3x/uniform"): 6.5,
+                     ("a", "2x/uniform"): 4.5, ("a", "3x/uniform"): 6.5}

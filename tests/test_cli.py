@@ -254,6 +254,20 @@ def test_prune_determinism_byte_identical(residual_model, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_train_determinism_byte_identical(tmp_path):
+    model = tmp_path / "model.json"
+    save_model(zoo.spiral_mlp(seed=1), model)
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main(["train", "--model", str(model), "--data", "spiral",
+                     "--out", str(out), "--epochs", "2", "--seed", "3"]) == 0
+        outs.append(out)
+    for name in ("trained.json", "trained.bin", "trace.csv",
+                 "sparsity_hist.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_train_lambda_zero_then_prune_composes(tmp_path):
     model = tmp_path / "model.json"
     save_model(zoo.spiral_mlp(seed=1), model)
@@ -304,8 +318,9 @@ def test_train_bad_config_exits_2(tmp_path):
     ({}, ["--epochs", "0"], "epochs must be >= 1"),
     ({}, ["--lr", "nan"], "lr must be a finite number"),
     ({}, ["--seed", "-1"], "seed must be >= 0"),
+    ({"strategy": "random"}, [], "train does not accept the random strategy"),
 ], ids=["unknown-key", "alpha-str", "top-level-list", "batch-size-0",
-        "lr-0", "epochs-0", "lr-nan", "seed-negative"])
+        "lr-0", "epochs-0", "lr-nan", "seed-negative", "strategy-random"])
 def test_train_bad_config_field_exits_2(tmp_path, capsys, config, extra,
                                         message):
     model = tmp_path / "model.json"
@@ -415,7 +430,9 @@ def test_edge_case_network_exits_cleanly(case, tmp_path, capsys):
     for i, cmd in enumerate((["inspect"],
                              ["prune", "--ratio", "0.5"],
                              ["prune", "--ratio", "0.5", "--mode", "learned"],
-                             ["train", "--data", "spiral", "--epochs", "1"])):
+                             ["train", "--data", "spiral", "--epochs", "1"],
+                             ["train", "--data", "spiral", "--epochs", "1",
+                              "--strategy", "no-grouping"])):
         rc = main(cmd + ["--model", str(path), "--out", str(tmp_path / str(i))])
         err = capsys.readouterr().err
         assert rc in (0, 2, 3, 4), (cmd, err)
@@ -460,3 +477,23 @@ def test_ablate_single_cell(tmp_path):
     assert 0.0 <= float(rows[0][1]) <= 1.0
     _h2, cells = read_csv(out / "ablation_cells.csv")
     assert len(cells) == 1
+
+
+def test_ablate_table_is_the_median_of_its_cells(tmp_path):
+    out = tmp_path / "o"
+    rc = main(["ablate", "--data", "spiral", "--out", str(out),
+               "--strategies", "no-grouping,full-grouping",
+               "--speedups", "1.5", "--modes", "uniform,learned",
+               "--seeds", "0,1", "--epochs", "1"])
+    assert rc == 0
+    header, rows = read_csv(out / "ablation.csv")
+    assert header == ["strategy", "1.5x/uniform", "1.5x/learned"]
+    assert [r[0] for r in rows] == ["full-grouping", "no-grouping"]
+    _h, cells = read_csv(out / "ablation_cells.csv")
+    assert len(cells) == 8
+    for strategy, *values in rows:
+        for col, value in zip(header[1:], values):
+            accs = [float(c[4]) for c in cells
+                    if (c[0], f"{float(c[1]):g}x/{c[2]}") == (strategy, col)]
+            assert len(accs) == 2
+            assert float(value) == pytest.approx(np.median(accs), abs=1e-6)

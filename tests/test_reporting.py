@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 
-from grouprune.reporting import (emit_sparsity_histogram, emit_table,
-                                 emit_trace, format_value, histogram,
+from grouprune.reporting import (HISTOGRAM_BINS, emit_sparsity_histogram,
+                                 emit_trace, format_value,
                                  write_binary_matrix, write_csv)
 
-from reference import read_csv
+from reference import read_csv, reference_histogram
 
 
 def test_csv_round_trip(tmp_path):
@@ -31,68 +33,67 @@ def test_format_value_uses_dot_decimal():
     assert format_value(2) == "2"
 
 
-def test_histogram_counts_sum():
-    edges, counts = histogram([0.0, 0.05, 0.5, 0.99, 1.0, 2.0], bins=10)
+def _hist_counts(trace, path):
+    emit_sparsity_histogram(trace, path)
+    header, rows = read_csv(path)
+    assert header == ["epoch", "bin_lo", "bin_hi", "count"]
+    assert len(rows) == HISTOGRAM_BINS == 20
+    return [int(r[3]) for r in rows]
+
+
+def test_histogram_counts_sum(tmp_path):
+    # one group whose max is 1.0, so its values are binned as they are
+    trace = [{"g0": np.array([0.0, 0.025, 0.5, 0.96, 0.99, 1.0])}]
+    emit_sparsity_histogram(trace, tmp_path / "h.csv")
+    _h, rows = read_csv(tmp_path / "h.csv")
+    counts = [int(r[3]) for r in rows]
     assert sum(counts) == 6
-    assert len(edges) == 11
-    assert counts[0] == 2     # 0.0 and 0.05
-    assert counts[-1] == 3    # 0.99 plus the clipped 1.0 and 2.0
+    edges = sorted({float(r[1]) for r in rows} | {float(r[2]) for r in rows})
+    assert edges == [i / 20 for i in range(21)]
+    assert counts[0] == 2     # 0.0 and 0.025
+    assert counts[-1] == 3    # 0.96, 0.99 and the clipped 1.0
 
 
-def _trace(entries_by_epoch):
-    return [{"epoch": e, "entries": entries}
-            for e, entries in enumerate(entries_by_epoch)]
+def test_sparsity_histogram_matches_reference_histogram(tmp_path):
+    # every bin edge i/20, one ulp either side of it, 0.0 and 1.0; the
+    # group's max is 1.0, so the values are binned as they are
+    edges = [i / 20 for i in range(21)]
+    values = [0.0, 1.0] + [x for e in edges for x in
+                           (math.nextafter(e, -1.0), e, math.nextafter(e, 2.0))
+                           if 0.0 <= x <= 1.0]
+    trace = [{"zero": np.zeros(3)}, {"edges": np.array(values),
+                                     "zero": np.zeros(3)}]
+    counts = _hist_counts(trace, tmp_path / "h.csv")
+    _edges, want = reference_histogram(values + [0.0] * 3, 20)
+    assert counts == want
+    _h, rows = read_csv(tmp_path / "h.csv")
+    assert {r[0] for r in rows} == {"1"}   # the final epoch
 
 
 def test_sparsity_histogram_single_group(tmp_path):
-    trace = _trace([[("g0", 0, 1.0), ("g0", 1, 1.0), ("g0", 2, 1.0)]])
-    emit_sparsity_histogram(trace, tmp_path / "h.csv", bins=4)
-    _h, rows = read_csv(tmp_path / "h.csv")
-    counts = [int(r[3]) for r in rows]
+    trace = [{"g0": np.array([1.0, 1.0, 1.0])}]
+    counts = _hist_counts(trace, tmp_path / "h.csv")
     assert sum(counts) == 3
     assert counts[-1] == 3    # everything at the group max
 
 
 def test_sparsity_histogram_zeroized_group_lowest_bin(tmp_path):
-    trace = _trace([[("g0", 0, 0.0), ("g0", 1, 0.0), ("g1", 0, 5.0)]])
-    emit_sparsity_histogram(trace, tmp_path / "h.csv", bins=4)
-    _h, rows = read_csv(tmp_path / "h.csv")
-    counts = [int(r[3]) for r in rows]
+    trace = [{"g0": np.array([0.0, 0.0]), "g1": np.array([5.0])}]
+    counts = _hist_counts(trace, tmp_path / "h.csv")
     assert counts[0] == 2
+    assert counts[-1] == 1    # g1 at its own max
 
 
 def test_trace_round_trip(tmp_path):
-    trace = _trace([[("g0", 0, 0.25), ("g1", 3, 1.75)]])
+    trace = [{"g0": np.array([0.25]), "g1": np.array([0.5, 0.0, 1.0, 1.75])},
+             {"g0": np.array([0.125])}]
     emit_trace(trace, tmp_path / "t.csv")
     header, rows = read_csv(tmp_path / "t.csv")
     assert header == ["epoch", "group", "k", "importance"]
     assert rows[0] == ["0", "g0", "0", "0.25"]
-    assert rows[1] == ["0", "g1", "3", "1.75"]
-
-
-def test_table_single_cell(tmp_path):
-    emit_table({("full", "2x"): 0.91}, tmp_path / "t.csv", row_key="strategy")
-    header, rows = read_csv(tmp_path / "t.csv")
-    assert header == ["strategy", "2x"]
-    assert rows == [["full", "0.91"]]
-
-
-def test_table_missing_cells_are_na(tmp_path):
-    cells = {("a", "c1"): 1.0, ("b", "c2"): 2.0}
-    emit_table(cells, tmp_path / "t.csv")
-    _h, rows = read_csv(tmp_path / "t.csv")
-    assert rows[0] == ["a", "1", "n/a"]
-    assert rows[1] == ["b", "n/a", "2"]
-
-
-def test_table_grid_shape(tmp_path):
-    cells = {(s, c): 0.5 for s in ("full", "conv", "none")
-             for c in ("1.5x/u", "1.5x/l", "2x/u", "2x/l")}
-    emit_table(cells, tmp_path / "t.csv",
-               col_keys=["1.5x/u", "1.5x/l", "2x/u", "2x/l"])
-    header, rows = read_csv(tmp_path / "t.csv")
-    assert len(rows) == 3
-    assert len(header) == 5
+    assert rows[4] == ["0", "g1", "3", "1.75"]
+    assert rows[5] == ["1", "g0", "0", "0.125"]
+    assert len(rows) == 6
 
 
 def test_binary_matrix_matches_write_csv(tmp_path):

@@ -379,10 +379,12 @@ def test_training_records_trace_per_epoch():
     cfg = SparseConfig(epochs=2, reg_weight=1e-3, lr=0.05, batch_size=16)
     _ir2, trace = train_sparse(ir, (xtr, ytr), cfg, groups)
     assert len(trace) == 2
-    widths = sum(g.width for g in groups)
-    assert len(trace[0]["entries"]) == widths
-    gid, k, imp = trace[0]["entries"][0]
-    assert isinstance(gid, str) and isinstance(k, int) and imp >= 0
+    for epoch in trace:
+        assert list(epoch) == [g.group_id for g in groups]
+        for g in groups:
+            imps = epoch[g.group_id]
+            assert imps.dtype == np.float64 and imps.shape == (g.width,)
+            assert (imps >= 0).all()
 
 
 def test_conv_only_trace_counts_every_member():
@@ -397,10 +399,10 @@ def test_conv_only_trace_counts_every_member():
     cfg = SparseConfig(epochs=2, reg_weight=5e-2, lr=0.05, batch_size=16,
                        strategy="conv-only", seed=4)
     trained, trace = train_sparse(ir, (xtr, ytr), cfg, groups)
-    want = [(g.group_id, k, float(imp))
-            for g in groups
-            for k, imp in enumerate(group_l2_importance(trained, g))]
-    assert trace[-1]["entries"] == want
+    assert list(trace[-1]) == [g.group_id for g in groups]
+    for g in groups:
+        assert (trace[-1][g.group_id].tobytes()
+                == group_l2_importance(trained, g).tobytes()), g.group_id
 
 
 def test_divergence_aborts_with_trace():
@@ -411,7 +413,9 @@ def test_divergence_aborts_with_trace():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as exc:
             train_sparse(ir, (xtr, ytr), cfg, groups)
-    assert exc.value.trace is not None
+    assert isinstance(exc.value.trace, list)
+    for epoch in exc.value.trace:
+        assert list(epoch) == [g.group_id for g in groups]
 
 
 def test_gamma_refresh_period_respected():
@@ -455,8 +459,7 @@ def test_config_rejects_bad_values():
 
 
 def test_near_zero_fraction_counts():
-    epoch = {"epoch": 0, "entries": [("a", 0, 1.0), ("a", 1, 0.001),
-                                     ("a", 2, 0.5), ("b", 0, 0.0)]}
+    epoch = {"a": np.array([1.0, 0.001, 0.5]), "b": np.array([0.0])}
     near, total = near_zero_fraction(epoch, threshold=0.01)
     assert (near, total) == (2, 4)   # a@1 below 1% of a's max, b all-zero
 
@@ -474,10 +477,7 @@ def test_grouped_sparsity_beats_layerwise_on_group_norms():
         cfg = SparseConfig(epochs=6, reg_weight=2e-2, lr=0.05, batch_size=64,
                            strategy=strategy, seed=3, refresh_period=10)
         trained, _trace = train_sparse(ir, (xtr, ytr), cfg, groups)
-        final = {"epoch": cfg.epochs - 1, "entries": [
-            (g.group_id, k, float(imp))
-            for g in groups
-            for k, imp in enumerate(group_l2_importance(trained, g))]}
+        final = {g.group_id: group_l2_importance(trained, g) for g in groups}
         near, _total = near_zero_fraction(final)
         counts[strategy] = near
     assert counts["full-grouping"] >= counts["no-grouping"]
