@@ -78,4 +78,4 @@ def emit_trace(trace, path) -> None:
               [[epoch, group_id, k, imp]
                for epoch, by_group in enumerate(trace)
                for group_id, imps in by_group.items()
-               for k, imp in enumerate(imps.tolist())])
+               for k, imp in enumerate(imps)])
