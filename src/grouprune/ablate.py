@@ -133,9 +133,8 @@ def run_cell(trained, strategy: str, target_speedup: float, mode: str,
 def run_ablation(dataset: str, strategies, target_speedups, modes, seeds,
                  cfg: SparseConfig):
     """Full grid; returns {(strategy, f"{target:g}x/{mode}"): median
-    accuracy} over every cell under each key (a strategy listed twice pools
-    its cells), plus the raw per-cell results, in strategy, target, mode,
-    seed order.
+    accuracy of all cells under the key, a repeated strategy's included}
+    plus the raw per-cell results, in strategy, target, mode, seed order.
 
     Each (strategy, seed) model is trained once, on its first cell, and
     every cell of that strategy and seed starts from it; the models of one

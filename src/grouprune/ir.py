@@ -561,11 +561,12 @@ def load_model(path) -> NetworkIR:
 
     if "\0" in top["weights_file"]:
         raise ModelParseError(f"{path}: weights_file contains a NUL byte")
-    data = (path.parent / top["weights_file"]).read_bytes()
-    if len(data) % 4:
-        raise ModelParseError(f"{path}: weight blob size {len(data)} is not "
+    blob_path = path.parent / top["weights_file"]
+    size = blob_path.stat().st_size
+    if size % 4:
+        raise ModelParseError(f"{path}: weight blob size {size} is not "
                               f"a multiple of 4 bytes")
-    blob = np.frombuffer(data, dtype="<f4")
+    blob = np.fromfile(blob_path, dtype="<f4")
 
     weights = {}
     for name, meta in top["tensors"].items():
@@ -576,7 +577,7 @@ def load_model(path) -> NetworkIR:
         if off + n > blob.size:
             raise ModelParseError(
                 f"{path}: tensor {name!r} extends past end of weight blob")
-        weights[name] = blob[off:off + n].reshape(shape).copy()
+        weights[name] = blob[off:off + n].reshape(shape)
 
     ir = NetworkIR(comps, edges, top["input_shape"], consumers, weights)
     return ir.check_valid()
