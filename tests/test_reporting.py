@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from grouprune import cli
 from grouprune.reporting import (HISTOGRAM_BINS, emit_sparsity_histogram,
                                  emit_trace, format_value,
                                  write_binary_matrix, write_csv)
@@ -94,6 +95,40 @@ def test_trace_round_trip(tmp_path):
     assert rows[4] == ["0", "g1", "3", "1.75"]
     assert rows[5] == ["1", "g0", "0", "0.125"]
     assert len(rows) == 6
+
+
+def _ablation_table(monkeypatch, tmp_path, table, strategies, speedups,
+                    modes):
+    # cmd_ablate writes the table run_ablation returns; fix the table
+    monkeypatch.setattr(cli, "run_ablation",
+                        lambda *args: (dict(table), []))
+    out = tmp_path / "o"
+    rc = cli.main(["ablate", "--out", str(out), "--strategies", strategies,
+                   "--speedups", speedups, "--modes", modes, "--seeds", "0"])
+    assert rc == 0
+    return read_csv(out / "ablation.csv")
+
+
+def test_table_single_cell(monkeypatch, tmp_path):
+    header, rows = _ablation_table(
+        monkeypatch, tmp_path, {("full-grouping", "2x/uniform"): 0.91},
+        "full-grouping", "2", "uniform")
+    assert header == ["strategy", "2x/uniform"]
+    assert rows == [["full-grouping", "0.91"]]
+
+
+def test_table_grid_shape(monkeypatch, tmp_path):
+    strategies = ("no-grouping", "full-grouping", "conv-only")
+    cols = ["1.5x/uniform", "1.5x/learned", "2x/uniform", "2x/learned"]
+    table = {(s, c): 0.5 for s in strategies for c in cols}
+    header, rows = _ablation_table(monkeypatch, tmp_path, table,
+                                   ",".join(strategies), "1.5,2",
+                                   "uniform,learned")
+    assert len(rows) == 3
+    assert len(header) == 5
+    assert header == ["strategy", *cols]
+    assert [r[0] for r in rows] == sorted(strategies)
+    assert all(r[1:] == ["0.5"] * 4 for r in rows)
 
 
 def test_binary_matrix_matches_write_csv(tmp_path):
