@@ -56,7 +56,7 @@ def make_model(dataset: str, seed: int):
 
 def make_data(dataset: str, seed: int):
     x, y = _dataset(dataset)[1](seed)
-    return train_test_split(x, y, test_fraction=0.25, seed=seed)
+    return train_test_split(x, y, seed=seed)
 
 
 def uniform_plan_for_speedup(ir, groups, scores: dict[str, np.ndarray],

@@ -132,6 +132,12 @@ def cmd_ablate(args) -> int:
     modes = _comma_list("modes", args.modes, str,
                         lambda m: m in ("uniform", "learned"))
     seeds = _comma_list("seeds", args.seeds, int, lambda s: s >= 0)
+    # ablation.csv has one column per target label and mode
+    for option, labels in (("speedups", [f"{t:g}x" for t in speedups]),
+                           ("modes", modes)):
+        dup = [x for x in labels if labels.count(x) > 1]
+        if dup:
+            raise ConfigError(f"--{option}: repeated column label {dup[0]!r}")
     cfg = _configured(SparseConfig(reg_weight=5e-3), epochs=args.epochs,
                       alpha=args.alpha, reg_weight=args.reg_weight)
     table, cells = run_ablation(args.data, strategies, speedups, modes, seeds,

@@ -10,17 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def spiral(n_per_class: int = 200, classes: int = 2, noise: float = 0.15,
-           seed: int = 0):
-    """Interleaved 2-D spirals, one arm per class."""
+def spiral(n_per_class: int, seed: int):
+    """Two interleaved 2-D spirals, one arm per class."""
     rng = np.random.default_rng(seed)
     xs, ys = [], []
-    for c in range(classes):
+    for c in range(2):
         t = np.linspace(0.25, 1.0, n_per_class)
-        angle = 2.5 * np.pi * t + 2 * np.pi * c / classes
+        angle = 2.5 * np.pi * t + np.pi * c
         r = t
         pts = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
-        pts += rng.normal(0, noise * t[:, None], pts.shape)
+        pts += rng.normal(0, 0.15 * t[:, None], pts.shape)
         xs.append(pts)
         ys.append(np.full(n_per_class, c))
     x = np.concatenate(xs).astype(np.float32)
@@ -62,11 +61,12 @@ def _stripes(rng, img, size):
 _MAKERS = (_square, _disk, _cross, _stripes)
 
 
-def shapes(n: int = 512, size: int = 8, noise: float = 0.25, seed: int = 0):
+def shapes(n: int, seed: int):
     """Four-class shape images: square, disk, cross, diagonal stripes.
 
-    Returns x of shape (n, 1, size, size) float32 and int64 labels.
+    Returns x of shape (n, 1, 8, 8) float32 and int64 labels.
     """
+    size = 8
     rng = np.random.default_rng(seed)
     x = np.zeros((n, 1, size, size), dtype=np.float32)
     y = np.zeros(n, dtype=np.int64)
@@ -74,15 +74,16 @@ def shapes(n: int = 512, size: int = 8, noise: float = 0.25, seed: int = 0):
         c = int(rng.integers(0, len(_MAKERS)))
         img = np.zeros((size, size), dtype=np.float32)
         _MAKERS[c](rng, img, size)
-        img += rng.normal(0, noise, img.shape).astype(np.float32)
+        img += rng.normal(0, 0.25, img.shape).astype(np.float32)
         x[i, 0] = img
         y[i] = c
     return x, y
 
 
-def train_test_split(x, y, test_fraction: float = 0.25, seed: int = 0):
+def train_test_split(x, y, seed: int):
+    """A random quarter of the samples for test, the rest for training."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(x))
-    n_test = int(len(x) * test_fraction)
+    n_test = int(len(x) * 0.25)
     test, train = order[:n_test], order[n_test:]
     return (x[train], y[train]), (x[test], y[test])

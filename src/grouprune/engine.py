@@ -90,11 +90,7 @@ def backward(tape: Tape, dout: np.ndarray) -> dict[str, np.ndarray]:
         dins, dparams = SPECS[comp.kind].backward(comp, ctx, ir.weights, need,
                                                   *douts)
         for role, g in dparams.items():
-            name = comp.params[role]
-            if name in grads:
-                grads[name] += g
-            else:
-                grads[name] = g
+            grads[comp.params[role]] = g
         for port, din in enumerate(dins):
             if not need[port]:
                 continue
@@ -152,13 +148,12 @@ def accuracy(logits, labels) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def sgd_step(ir, grads, state, lr: float, momentum: float = 0.9) -> None:
+def sgd_step(ir, grads, state, lr: float, momentum: float) -> None:
     """SGD with momentum, in place on the IR's weight arrays and on the
     momentum buffers in state.
 
     A caller that keeps a weight array across a step sees it change, so
-    snapshot with .copy(). A weight that is not a writable float32 array
-    is replaced by a new float32 array holding the same update.
+    snapshot with .copy().
 
     v *= momentum; v += g; w -= lr * v runs block by block along axis 0,
     so lr * v fills one block-sized temporary, not a full-size one.
@@ -168,11 +163,6 @@ def sgd_step(ir, grads, state, lr: float, momentum: float = 0.9) -> None:
         if v is None:
             v = state[name] = np.zeros_like(g)
         w = ir.weights[name]
-        if not (w.dtype == np.float32 and w.flags.writeable):
-            v *= momentum
-            v += g
-            ir.weights[name] = (w - lr * v).astype(np.float32)
-            continue
         rows = max(1, _CHUNK * len(w) // w.size)
         step = np.empty_like(v[:rows])
         for lo in range(0, len(w), rows):

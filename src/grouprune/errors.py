@@ -45,6 +45,6 @@ class PruneError(GroupruneError):
 class TrainingDiverged(GroupruneError):
     """Loss became non-finite during training; carries the trace so far."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace

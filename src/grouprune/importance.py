@@ -101,23 +101,21 @@ def unit_sums(values, units) -> np.ndarray:
     return np.bincount(owner, weights=values, minlength=len(units))
 
 
-def select_prune_indices(scores, ratio: float, min_keep: int = 1,
-                         units=None, windows=()) -> tuple[int, ...]:
+def select_prune_indices(scores, ratio: float, min_keep: int, units,
+                         windows) -> tuple[int, ...]:
     """Lowest-scoring indices to prune, never leaving fewer than min_keep.
 
     Prunes floor(ratio*K) indices for a ratio in [0, 1) and a min_keep of
     at least 1, both decided by the caller; ties are pruned lower-index
     first.
-    units, when given, partition the indices into atomic tuples that must
-    be selected together (grouped convolutions); a unit's score is the sum
-    of its indices' scores, and units are ordered once by (score, first
-    index). A unit that would take the last index of one of the windows
-    (see PortGuard) is skipped.
+    units partition the indices into atomic tuples that must be selected
+    together (a grouped convolution's; a single index otherwise); a unit's
+    score is the sum of its indices' scores, and units are ordered once by
+    (score, first index). A unit that would take the last index of one of
+    the windows (see PortGuard) is skipped.
     """
     scores = np.asarray(scores, dtype=np.float64)
     k = len(scores)
-    if units is None:
-        units = tuple((i,) for i in range(k))
     first = np.array([u[0] for u in units], dtype=np.int64)
     cap = min(int(ratio * k), k - min_keep)
     guard = PortGuard(windows) if windows else None

@@ -4,7 +4,8 @@ A network is an ordered list of components, each decomposed into an input
 half and an output half. Edges connect producer output halves to consumer
 input halves through numbered ports (ports matter for concat, split and
 elementwise components). Weights live in a flat name -> array store so
-that pruning can rewrite tensors without touching topology.
+that pruning can rewrite tensors without touching topology; in a valid
+network each tensor is float32 and is one parameter role of one component.
 
 Every half node carries a pruning scheme: the list of (parameter role,
 axis) slices that get removed when one of its prunable indices is pruned.
@@ -102,12 +103,11 @@ def conv2d(comp_id: str, in_ch: int, out_ch: int, kernel: int = 3, stride: int =
                      params)
 
 
-def batchnorm(comp_id: str, num_features: int, eps: float = 1e-5,
-              momentum: float = 0.1) -> Component:
+def batchnorm(comp_id: str, num_features: int) -> Component:
     params = {role: f"{comp_id}.{role}" for role in
               ("gamma", "beta", "running_mean", "running_var")}
     return Component(comp_id, "batchnorm",
-                     {"num_features": num_features, "eps": eps, "momentum": momentum},
+                     {"num_features": num_features, "eps": 1e-5, "momentum": 0.1},
                      params)
 
 
@@ -243,12 +243,10 @@ class NetworkIR:
         return self._needs_grad[comp_id]
 
     def exit_component(self) -> Component:
+        """The sink; validate() checks that there is exactly one."""
         if self._exit is None:
-            sinks = [c for c in self.components if not self.consumers_of(c.comp_id)]
-            if len(sinks) != 1:
-                raise ValidationError(
-                    f"expected exactly one network output, found {len(sinks)}")
-            self._exit = sinks[0]
+            self._exit = next(c for c in self.components
+                              if not self.consumers_of(c.comp_id))
         return self._exit
 
     def topo_order(self) -> list[Component]:
@@ -283,7 +281,9 @@ class NetworkIR:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Returns a list of violations; empty means the IR is valid."""
+        """Returns a list of violations; empty means the IR is valid: among
+        other things, every tensor is a finite float32 array of its role's
+        shape, and no two (component, role) pairs name the same tensor."""
         v: list[str] = []
         ids = set(self._index)
         if len(self.input_shape) not in (1, 3) or min(self.input_shape) <= 0:
@@ -356,6 +356,7 @@ class NetworkIR:
 
         # weight store agreement; a role the kind lacks is never read, and
         # save_model would fail on it
+        owner: dict[str, str] = {}   # tensor name -> "role of component"
         for comp in self.components:
             for role in sorted(set(comp.params) - set(SPECS[comp.kind].roles)):
                 v.append(f"{comp.comp_id}: unknown parameter role {role!r}")
@@ -364,12 +365,17 @@ class NetworkIR:
                 if name is None:
                     v.append(f"{comp.comp_id}: missing parameter role {role!r}")
                     continue
+                if name in owner:
+                    v.append(f"{comp.comp_id}: tensor {name!r} is already the {owner[name]}")
+                owner.setdefault(name, f"{role} of {comp.comp_id}")
                 arr = self.weights.get(name)
                 if arr is None:
                     v.append(f"{comp.comp_id}: tensor {name!r} missing from weight store")
                 elif tuple(arr.shape) != shape:
                     v.append(f"{comp.comp_id}: tensor {name!r} has shape "
                              f"{tuple(arr.shape)}, expected {shape}")
+                elif arr.dtype != np.float32:
+                    v.append(f"{comp.comp_id}: tensor {name!r} is {arr.dtype}, not float32")
                 elif not np.isfinite(arr).all():
                     v.append(f"{comp.comp_id}: tensor {name!r} contains NaN/Inf")
                 elif role == "running_var" and (arr < 0).any():

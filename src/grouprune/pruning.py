@@ -102,26 +102,26 @@ def _units_closed(group: Group, mask: np.ndarray) -> bool:
     return bool(np.all((hit == 0) | (hit == size)))
 
 
-def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
+def prune(ir, plan: PrunePlan, groups: list[Group]):
     """Apply a prune plan, returning a new, validated NetworkIR.
 
-    Plans are validated against freshly extracted groups: an entry whose
-    fingerprint no longer matches (the IR changed since planning) is an
-    error, as is a selection on a group that prunable_groups leaves out,
-    or one that violates atomic units or empties a group. So a plan never
-    changes the network's input or output width, and the result keeps
-    ir.input_shape.
+    groups are the groups extracted from ir. Plans are validated against
+    them: an entry whose fingerprint no longer matches (the IR changed
+    since planning) is an error, as is a selection on a group that
+    prunable_groups leaves out, or one that violates atomic units or
+    empties a group. So a plan never changes the network's input or
+    output width, and the result keeps ir.input_shape.
 
     Every weight of the result is a fresh C-contiguous array that shares
     no memory with the input, so a caller may train it in place. Each
     tensor is copied once: a sliced one by one compress over a keep mask
     per sliced axis, any other by a plain copy.
     """
-    if groups is None:
-        groups = extract_groups(build_depgraph(ir))
     by_id = {g.group_id: g for g in groups}
     allowed = {g.group_id for g in prunable_groups(ir, groups)}
 
+    if len({e.group_id for e in plan.entries}) < len(plan.entries):
+        raise PruneError("the plan names a group in more than one entry")
     half_removed: dict[str, list[int]] = {}
     keep: dict[str, dict[int, np.ndarray]] = {}   # name -> axis -> kept locals
 
@@ -151,12 +151,13 @@ def prune(ir, plan: PrunePlan, groups: list[Group] | None = None):
             locals_hit = np.flatnonzero(mask[m.transform.canonical(m.half.channels)])
             if locals_hit.size:
                 half_removed[m.half.node_id] = locals_hit.tolist()
+        # one half slices each (tensor, axis): validate() refuses shared ones
         for m, _role, name, axis in group.slices(ir):
-            if m.half.node_id in half_removed:
-                axes = keep.setdefault(name, {})
-                if axis not in axes:
-                    axes[axis] = np.ones(ir.weights[name].shape[axis], dtype=bool)
-                axes[axis][half_removed[m.half.node_id]] = False
+            removed = half_removed.get(m.half.node_id)
+            if removed:
+                kept = np.ones(ir.weights[name].shape[axis], dtype=bool)
+                kept[removed] = False
+                keep.setdefault(name, {})[axis] = kept
 
     # slice tensors
     new_weights = {}

@@ -131,12 +131,11 @@ def coefficient_map(ir, groups, gammas: dict[str, np.ndarray],
     """Per-tensor float32 coefficient C of the regularizer gradient C * w.
 
     C = float32(sum over sliced axes a of 2 * reg_weight * s_a), where
-    s_a[i] is the float64 sum of gamma_k over every slice of the tensor on
-    axis a that maps local index i to canonical index k. A tensor sliced on
-    one axis gets a vector shaped to broadcast along that axis; one sliced
-    on two (a linear or conv weight between two groups) gets a dense array,
-    written straight into float32 without a float64 copy of the tensor.
-    Empty when reg_weight is 0.
+    s_a[i] is gamma_k of the one slice per (tensor, axis), which maps local
+    index i to canonical index k. A tensor sliced on one axis gets a vector
+    shaped to broadcast along that axis; one sliced on two (a linear or conv
+    weight between two groups) gets a dense array, written straight into
+    float32 without a float64 copy of the tensor. Empty at reg_weight 0.
 
     out is the map an earlier call built for the same tensors; its dense
     arrays are overwritten and returned again, so a gamma refresh allocates
@@ -147,8 +146,7 @@ def coefficient_map(ir, groups, gammas: dict[str, np.ndarray],
         return {}
     sums: dict[str, dict[int, np.ndarray]] = {}
     for name, axis, coeff in _weighted_slices(ir, groups, gammas):
-        by_axis = sums.setdefault(name, {})
-        by_axis[axis] = by_axis[axis] + coeff if axis in by_axis else coeff
+        sums.setdefault(name, {})[axis] = coeff
     coeffs = {}
     for name, by_axis in sums.items():
         ndim = ir.weights[name].ndim

@@ -18,8 +18,8 @@ def _finish(components, edges, input_shape, consumers, seed):
     return ir.check_valid()
 
 
-def mlp(sizes, seed: int = 0, act_fn: str = "relu") -> NetworkIR:
-    """Fully-connected chain with activations between layers."""
+def mlp(sizes, seed: int = 0) -> NetworkIR:
+    """Fully-connected chain with relu activations between layers."""
     comps = []
     edges = []
     prev = None
@@ -30,24 +30,23 @@ def mlp(sizes, seed: int = 0, act_fn: str = "relu") -> NetworkIR:
             edges.append((prev, 0, fc.comp_id, 0))
         prev = fc.comp_id
         if i < len(sizes) - 2:
-            act = activation(f"act{i + 1}", sizes[i + 1], act_fn)
+            act = activation(f"act{i + 1}", sizes[i + 1], "relu")
             comps.append(act)
             edges.append((prev, 0, act.comp_id, 0))
             prev = act.comp_id
     return _finish(comps, edges, (sizes[0],), [("fc1", 0)], seed)
 
 
-def spiral_mlp(hidden: int = 32, seed: int = 0) -> NetworkIR:
-    return mlp([2, hidden, hidden, 2], seed=seed)
+def spiral_mlp(seed: int = 0) -> NetworkIR:
+    return mlp([2, 32, 32, 2], seed=seed)
 
 
-def residual_cnn(in_channels: int = 1, width: int = 16, classes: int = 4,
-                 image: int = 8, seed: int = 0) -> NetworkIR:
+def residual_cnn(seed: int = 0) -> NetworkIR:
     """Stem conv, one residual block (conv1-bn1-act-conv2-bn2 + skip),
-    head of pool/flatten/linear."""
-    w = width
+    head of pool/flatten/linear, on 1 x 8 x 8 images with 4 classes."""
+    w = 16
     comps = [
-        conv2d("stem", in_channels, w, kernel=3, padding=1),
+        conv2d("stem", 1, w, kernel=3, padding=1),
         conv2d("conv1", w, w, kernel=3, padding=1),
         batchnorm("bn1", w),
         activation("act1", w, "relu"),
@@ -56,8 +55,8 @@ def residual_cnn(in_channels: int = 1, width: int = 16, classes: int = 4,
         eltwise("add", w, "add"),
         activation("act2", w, "relu"),
         pool("pool", w, kernel=2, op="avg"),
-        flatten("flat", w, (image // 2) ** 2),
-        linear("head", w * (image // 2) ** 2, classes),
+        flatten("flat", w, 4 * 4),   # the 8 x 8 map pooled to 4 x 4
+        linear("head", w * 4 * 4, 4),
     ]
     edges = [
         ("stem", 0, "conv1", 0),
@@ -67,4 +66,4 @@ def residual_cnn(in_channels: int = 1, width: int = 16, classes: int = 4,
         ("add", 0, "act2", 0), ("act2", 0, "pool", 0),
         ("pool", 0, "flat", 0), ("flat", 0, "head", 0),
     ]
-    return _finish(comps, edges, (in_channels, image, image), [("stem", 0)], seed)
+    return _finish(comps, edges, (1, 8, 8), [("stem", 0)], seed)

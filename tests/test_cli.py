@@ -34,6 +34,17 @@ def test_inspect_residual_block(residual_model, tmp_path, capsys):
     for name in ("conv1", "bn1", "bn2"):
         assert any(name in ln for ln in block_lines)
 
+    # the second concat branch sits at an offset in the concat's group,
+    # and each channel fans out to 4 x 4 head columns
+    path = tmp_path / "concat.json"
+    save_model(toy_models.concat_cnn(), path)
+    assert main(["inspect", "--model", str(path), "--out", str(out)]) == 0
+    report = (out / "groups.txt").read_text().splitlines()
+    assert ("  branch_b:out             channels=8     transform=offset(8)"
+            in report)
+    assert ("  head:in                  channels=256   transform=expand(16)"
+            in report)
+
 
 def test_inspect_mlp_chain_groups(tmp_path):
     path = tmp_path / "mlp.json"
@@ -111,6 +122,13 @@ def _set(doc, path, value):
         doc[last] = value
 
 
+def _edited(model, path, value):
+    """The model's descriptor with _set(doc, path, value) applied."""
+    doc = json.loads(model.read_text())
+    _set(doc, path, value)
+    return doc
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("components", 0), "conv1", "component 0"),
     (("components", 0, "attrs"), [3], "'attrs'"),
@@ -144,7 +162,17 @@ def test_inspect_malformed_field_exits_2(residual_model, tmp_path, capsys,
     (lambda model, bad: bad.write_text(json.dumps(
         dict(json.loads(model.read_text()), weights_file="a\0b"))),
      "NUL byte"),
-], ids=["not-utf8", "blob-size", "nul-in-weights-file"])
+    (lambda model, bad: bad.write_text(json.dumps(
+        dict(json.loads(model.read_text()), format="onnx"))),
+     "unknown format 'onnx'"),
+    (lambda model, bad: bad.write_text(json.dumps(
+        _edited(model, ("components", 1, "kind"), "softmax"))),
+     "component 'conv1': unknown kind 'softmax'"),
+    (lambda model, bad: bad.write_text(json.dumps(
+        _edited(model, ("components", 1, "id"), "stem"))),
+     "duplicate component ids"),
+], ids=["not-utf8", "blob-size", "nul-in-weights-file", "unknown-format",
+        "unknown-kind", "duplicate-ids"])
 def test_inspect_unreadable_descriptor_exits_2(residual_model, tmp_path,
                                                capsys, write, message):
     bad = tmp_path / "broken.json"
@@ -156,8 +184,12 @@ def test_inspect_unreadable_descriptor_exits_2(residual_model, tmp_path,
     assert message in err
 
 
+def _component(doc, comp_id):
+    return next(c for c in doc["components"] if c["id"] == comp_id)
+
+
 def _attrs(doc, comp_id):
-    return next(c for c in doc["components"] if c["id"] == comp_id)["attrs"]
+    return _component(doc, comp_id)["attrs"]
 
 
 @pytest.mark.parametrize("command", ["inspect", "prune"])
@@ -172,12 +204,23 @@ def _attrs(doc, comp_id):
     (lambda doc: (doc.update(input_shape=[1, 2, 2]),
                   _attrs(doc, "stem").update(padding=0)),
      "stem: non-positive output size"),
+    (lambda doc: doc.update(input_consumers=[]),
+     "no component consumes the network input"),
+    # 16 of conv1's He-initialized weights, some of them negative
+    (lambda doc: doc["tensors"]["bn1.running_var"].update(
+        offset=doc["tensors"]["conv1.weight"]["offset"]),
+     "bn1: tensor 'bn1.running_var' has a negative variance"),
+    (lambda doc: _component(doc, "bn2")["params"].update(gamma="bn1.gamma"),
+     "bn2: tensor 'bn1.gamma' is already the gamma of bn1"),
 ], ids=["stride-2", "rank-2-input", "flat-input", "odd-pool-input",
-        "flatten-size", "kernel-too-large"])
+        "flatten-size", "kernel-too-large", "no-input-consumer",
+        "negative-variance", "shared-tensor"])
 def test_shapes_that_do_not_fit_exit_3(residual_model, tmp_path, capsys,
                                        command, mutate, message):
     """validate() ends with shape inference, so a wiring whose tensor
-    shapes do not work out fails there, not later in the engine."""
+    shapes do not work out fails there, not later in the engine; it
+    decides the wiring and the weight store first, so their faults exit 3
+    at load too."""
     doc = json.loads(residual_model.read_text())
     mutate(doc)
     bad = tmp_path / "misfit.json"   # its weights_file is still model.bin
@@ -319,14 +362,18 @@ def test_train_bad_config_exits_2(tmp_path):
     ({}, ["--lr", "nan"], "lr must be a finite number"),
     ({}, ["--seed", "-1"], "seed must be >= 0"),
     ({"strategy": "random"}, [], "train does not accept the random strategy"),
+    ({"lr": 10 ** 400}, [], "lr must be a finite number"),
+    ({"momentum": 1.5}, [], "momentum must be <= 1"),
+    ("{not json", [], "not a JSON config"),
 ], ids=["unknown-key", "alpha-str", "top-level-list", "batch-size-0",
-        "lr-0", "epochs-0", "lr-nan", "seed-negative", "strategy-random"])
+        "lr-0", "epochs-0", "lr-nan", "seed-negative", "strategy-random",
+        "lr-int-beyond-float", "momentum-above-1", "not-json"])
 def test_train_bad_config_field_exits_2(tmp_path, capsys, config, extra,
                                         message):
     model = tmp_path / "model.json"
     save_model(zoo.spiral_mlp(), model)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     rc = main(["train", "--model", str(model), "--data", "spiral",
                "--out", str(tmp_path / "o"), "--config", str(cfg)] + extra)
     assert rc == 2
@@ -455,8 +502,13 @@ def test_ablate_unknown_strategy_exits_2(tmp_path):
     (["--seeds", "-1"], "--seeds: bad item '-1'"),
     (["--epochs", "0"], "epochs must be >= 1"),
     (["--data", "imagenet"], "unknown dataset 'imagenet'"),
+    (["--speedups", "2,3,2"], "--speedups: repeated column label '2x'"),
+    (["--speedups", "2,2.0000001"], "--speedups: repeated column label '2x'"),
+    (["--modes", "learned,uniform,learned"],
+     "--modes: repeated column label 'learned'"),
 ], ids=["speedup-not-number", "speedup-below-1", "unknown-mode",
-        "seed-negative", "epochs-0", "unknown-dataset"])
+        "seed-negative", "epochs-0", "unknown-dataset", "speedup-repeated",
+        "speedups-print-alike", "mode-repeated"])
 def test_ablate_bad_setting_exits_2(tmp_path, capsys, extra, message):
     rc = main(["ablate", "--data", "spiral", "--out", str(tmp_path / "o"),
                "--seeds", "0", "--epochs", "1"] + extra)

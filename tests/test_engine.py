@@ -234,6 +234,12 @@ def test_per_op_gradients_against_finite_differences():
     ir = _net(comps, edges, (2, 4, 4), [("c1", 0), ("c2", 0)])
     check(ir, rng.normal(size=(3, 2, 4, 4)).astype(np.float32))
 
+    # identity
+    comps = [linear("fc1", 4, 6), activation("a", 6, "identity"),
+             linear("fc2", 6, 3)]
+    ir = _net(comps, [("fc1", 0, "a", 0), ("a", 0, "fc2", 0)], (4,), [("fc1", 0)])
+    check(ir, rng.normal(size=(4, 4)).astype(np.float32))
+
 
 # (kernel, stride, padding, groups) of two stacked 4 -> 4 channel convs on
 # an h x w input; groups 4 is depthwise.

@@ -235,35 +235,43 @@ def test_permutation_equivariance():
 # -- selection ----------------------------------------------------------------
 
 
+def _singletons(k):
+    return tuple((i,) for i in range(k))
+
+
 def test_select_basic():
-    sel = select_prune_indices([9, 1, 4], ratio=1 / 3, min_keep=1)
+    sel = select_prune_indices([9, 1, 4], ratio=1 / 3, min_keep=1,
+                               units=_singletons(3), windows=())
     assert sel == (1,)
 
 
 def test_select_ratio_zero_is_empty():
-    sel = select_prune_indices([9, 1, 4], ratio=0.0, min_keep=1)
+    sel = select_prune_indices([9, 1, 4], ratio=0.0, min_keep=1,
+                               units=_singletons(3), windows=())
     assert sel == ()
 
 
 def test_select_clamps_to_min_keep():
-    sel = select_prune_indices([4, 3, 2, 1], ratio=0.99, min_keep=2)
+    sel = select_prune_indices([4, 3, 2, 1], ratio=0.99, min_keep=2,
+                               units=_singletons(4), windows=())
     assert len(sel) == 2
     assert sel == (2, 3)
 
 
 def test_select_tie_breaks_toward_lower_index():
-    sel = select_prune_indices([5, 2, 2, 2], ratio=0.5, min_keep=1)
+    sel = select_prune_indices([5, 2, 2, 2], ratio=0.5, min_keep=1,
+                               units=_singletons(4), windows=())
     assert sel == (1, 2)
 
 
 def test_select_respects_units():
     units = ((0, 1), (2, 3))
     sel = select_prune_indices([1, 1, 10, 10], ratio=0.5, min_keep=1,
-                               units=units)
+                               units=units, windows=())
     assert sel == (0, 1)
     # half a unit never fits: ratio 0.25 -> budget 1 < unit size 2
     sel = select_prune_indices([1, 1, 10, 10], ratio=0.25, min_keep=1,
-                               units=units)
+                               units=units, windows=())
     assert sel == ()
 
 
@@ -306,7 +314,8 @@ def test_select_prune_indices_matches_sorted_oracle():
         scores = rng.integers(0, 3, size=k).astype(np.float64)
         if case % 5 == 0:
             scores[:] = 0.0
-        units = (None, tuple(_runs(rng, k, 1)), tuple(_runs(rng, k, 3)))[case % 3]
+        units = (_singletons(k), tuple(_runs(rng, k, 1)),
+                 tuple(_runs(rng, k, 3)))[case % 3]
         windows = ([], [set(w) for w in _runs(rng, k, 4)],
                    [set(w) for w in _runs(rng, k, 6) + _runs(rng, k, 3)])[case // 3 % 3]
         for ratio in (0.0, 0.25, 0.5, 0.75, 0.95):

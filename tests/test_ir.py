@@ -160,6 +160,21 @@ def test_validate_rejects_nan_weights():
     assert any("NaN" in v for v in ir.validate())
 
 
+def test_validate_rejects_shared_tensor():
+    # backward would sum the two roles' gradients into one tensor, and
+    # prune would slice it for both
+    ir = zoo.residual_cnn()
+    ir.component("bn2").params["gamma"] = "bn1.gamma"
+    assert ir.validate() == ["bn2: tensor 'bn1.gamma' is already the gamma "
+                             "of bn1"]
+
+
+def test_validate_rejects_float64_weight():
+    ir = toy_models.two_layer_mlp()
+    ir.weights["fc1.bias"] = ir.weights["fc1.bias"].astype(np.float64)
+    assert ir.validate() == ["fc1: tensor 'fc1.bias' is float64, not float32"]
+
+
 def test_validate_rejects_unknown_parameter_role():
     # a role the kind does not have was accepted, and save_model then
     # failed on its missing tensor with a KeyError

@@ -1,5 +1,5 @@
-"""The package's public names, no definition that nothing reads, and no
-raise outside the errors.py taxonomy."""
+"""The package's public names, no definition that nothing reads, no
+raise outside the errors.py taxonomy, and a cap on keyword defaults."""
 
 import ast
 import pathlib
@@ -64,3 +64,21 @@ def test_every_src_raise_is_an_errors_class():
                 if getattr(exc, "id", None) not in taxonomy:
                     outside.append(f"{path.name}:{n.lineno}")
     assert outside == []
+
+
+# Raise only with a change that adds an option, and say why in CHANGES.md.
+MAX_KEYWORD_DEFAULTS = 28
+
+
+def test_keyword_defaults_stay_capped():
+    """Function and lambda argument defaults in the package, counted with
+    ast: each is an option a caller may leave out, and each fork it feeds
+    needs its own test."""
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+                count += len(n.args.defaults) + sum(
+                    d is not None for d in n.args.kw_defaults)
+    assert count <= MAX_KEYWORD_DEFAULTS, count

@@ -45,7 +45,7 @@ def test_prune_linear_neuron_slices_both_layers():
 
 def test_empty_plan_is_identity_on_bytes(tmp_path):
     ir = zoo.residual_cnn(seed=9)
-    pruned = prune(ir, PrunePlan())
+    pruned = prune(ir, PrunePlan(), extract_groups(build_depgraph(ir)))
     d1, d2 = tmp_path / "a", tmp_path / "b"
     d1.mkdir(), d2.mkdir()
     save_model(ir, d1 / "m.json")
@@ -68,7 +68,7 @@ def test_zero_group_functional_preservation(name):
         z = zeroize_group(ir, g, sel)
         y_zero = engine.forward(z, x)
         plan = PrunePlan(entries=[PlanEntry(g.group_id, g.fingerprint, sel)])
-        pruned = prune(z, plan)
+        pruned = prune(z, plan, groups)
         y_pruned = engine.forward(pruned, x)
         assert np.abs(y_zero - y_pruned).max() < 1e-5, (name, g.group_id)
 
@@ -120,7 +120,10 @@ def test_stale_plan_rejected():
     plan, groups = middle_plan(ir, (0,))
     smaller = prune(ir, plan, groups)
     with pytest.raises(PruneError, match="stale"):
-        prune(smaller, plan)
+        prune(smaller, plan, extract_groups(build_depgraph(smaller)))
+    twice = PrunePlan(entries=plan.entries * 2)
+    with pytest.raises(PruneError, match="more than one entry"):
+        prune(ir, twice, groups)
 
 
 def test_min_keep_violation_rejected():
