@@ -551,15 +551,13 @@ def reference_relative_score(values: np.ndarray, n: int) -> np.ndarray:
     return n * values / top_mass
 
 
-def reference_select_prune_indices(scores, ratio: float, min_keep: int = 1,
-                                   units=None, windows=()) -> tuple[int, ...]:
+def reference_select_prune_indices(scores, ratio: float, min_keep: int,
+                                   units, windows) -> tuple[int, ...]:
     """importance.select_prune_indices with units ordered by a sorted() key
     (summed score, first index), skipping a unit when the selection with it
     would cover a whole window."""
     scores = np.asarray(scores, dtype=np.float64)
     k = len(scores)
-    if units is None:
-        units = tuple((i,) for i in range(k))
     unit_score = [(float(sum(scores[i] for i in u)), u[0], u) for u in units]
     unit_score.sort(key=lambda t: (t[0], t[1]))
     budget = int(ratio * k)

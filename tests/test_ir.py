@@ -161,8 +161,7 @@ def test_validate_rejects_nan_weights():
 
 
 def test_validate_rejects_shared_tensor():
-    # backward would sum the two roles' gradients into one tensor, and
-    # prune would slice it for both
+    # both roles would train and slice the one tensor
     ir = zoo.residual_cnn()
     ir.component("bn2").params["gamma"] = "bn1.gamma"
     assert ir.validate() == ["bn2: tensor 'bn1.gamma' is already the gamma "
