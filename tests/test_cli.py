@@ -232,6 +232,17 @@ def test_shapes_that_do_not_fit_exit_3(residual_model, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+def test_inspect_misaligned_flatten_exits_3(tmp_path, capsys):
+    """A valid network whose channels do not group fails in analysis."""
+    path = tmp_path / "model.json"
+    save_model(toy_models.flatten_concat([("fa", 8), ("la", 3)]), path)
+    rc = main(["inspect", "--model", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "group width = 11/4 is not an integer" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["explode"]) == 2
 

@@ -112,6 +112,23 @@ def test_inconsistent_arithmetic_raises():
         extract_groups(d)
 
 
+@pytest.mark.parametrize("parts, lead, message", [
+    ([("fa", 8), ("la", 3)], None, "group width = 11/4 is not an integer"),
+    ([("lb", 1), ("fa", 8), ("la", 3)], None,
+     "offset of ca:out = 1/4 is not an integer"),
+    ([("lb", 6), ("fa", 8), ("la", 2)], "lb",
+     "lb:out: 6 channels do not split into units of 4"),
+])
+def test_misaligned_flatten_raises(parts, lead, message):
+    # a flatten's 4 features per channel set the group's unit; a concat
+    # part that breaks that unit fails while placements are rebased
+    d = build_depgraph(toy_models.flatten_concat(parts, lead))
+    with pytest.raises(GroupingError) as exc:
+        extract_groups(d)
+    assert str(exc.value).startswith("inconsistent channel arithmetic")
+    assert str(exc.value).endswith(message)
+
+
 def test_grouped_conv_units():
     ir = toy_models.grouped_cnn(width=16, groups=4)
     groups = extract_groups(build_depgraph(ir))

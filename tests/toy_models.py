@@ -181,6 +181,30 @@ def residual_tower(blocks: int, width: int = 16, image: int = 8,
     return _finish(comps, edges, (1, image, image), [("stem", 0)], seed)
 
 
+def flatten_concat(parts: list[tuple[str, int]], lead: str | None = None,
+                   seed: int = 0) -> NetworkIR:
+    """Concat of flattened features that a flatten cannot align with.
+
+    On a (1, 2, 2) input, conv `ca` (1 -> 2) feeds flatten `fa` (8
+    features, 4 per channel), and conv `cb` (1 -> 1) feeds flatten `fb`,
+    whose 4 features feed one linear branch per other part. parts gives
+    the concat's inputs in port order as (name, features), where "fa" is
+    the flatten and any other name a linear branch of that width; a head
+    reads the concat. lead names a component to list first. The network
+    is valid, but no canonical unit of 4 features fits every part.
+    """
+    branches = [linear(name, 4, k) for name, k in parts if name != "fa"]
+    total = sum(k for _, k in parts)
+    comps = [conv2d("ca", 1, 2, kernel=1), flatten("fa", 2, 4),
+             conv2d("cb", 1, 1, kernel=1), flatten("fb", 1, 4), *branches,
+             concat("cat", [k for _, k in parts]), linear("head", total, 2)]
+    comps.sort(key=lambda c: c.comp_id != lead)
+    edges = [("ca", 0, "fa", 0), ("cb", 0, "fb", 0), ("cat", 0, "head", 0)]
+    edges += [("fb", 0, b.comp_id, 0) for b in branches]
+    edges += [(name, 0, "cat", port) for port, (name, _) in enumerate(parts)]
+    return _finish(comps, edges, (1, 2, 2), [("ca", 0), ("cb", 0)], seed)
+
+
 BUNDLED = {
     "two_layer_mlp": two_layer_mlp,
     "spiral_mlp": spiral_mlp,
