@@ -11,14 +11,15 @@ Path connectivity in this graph is what defines pruning groups; the
 builder itself never looks past directly connected pairs.
 
 Each edge also records how an index steps across it, once per direction,
-as ``(neighbour, shift, ratio)``: local index i of one half lines up with
+as ``(neighbour, shift, num, den)``: local index i of one half lines up with
 index ``i + shift`` of the neighbour, and one neighbour index spans
-``ratio`` of this half's indices. ``shift`` is the difference of the two
+``num/den`` of this half's indices. ``shift`` is the difference of the two
 port offsets (concat inputs and split outputs sit at an offset,
-everything else at 0) and the reverse step carries ``-shift``; across an
-intra edge ``ratio`` is the input half's width over the output half's
-(``1/spatial_size`` through a flatten), inverted on the way back, and it
-is 1 across every inter edge. Parallel IR edges between
+everything else at 0) and the reverse step carries ``-shift``. ``num/den``
+is the two halves' width ratio in lowest terms, this half's over the
+neighbour's: ``(1, 1)`` across every inter edge, ``(1, spatial_size)``
+from a flatten's input half to its output half, and the reverse step
+swaps ``num`` and ``den``. Parallel IR edges between
 the same halves keep one step each, and each half's steps are sorted by
 neighbour. This is the only walk over the IR's wiring; grouping reads
 the steps and never looks at the IR's edges.
@@ -26,7 +27,7 @@ the steps and never looks at the IR's edges.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class DependencyGraph:
         self.ir = ir
         self.halves = ir.halves()
         self.index = {h.node_id: i for i, h in enumerate(self.halves)}
-        self.steps: list[list[tuple[int, int, int | Fraction]]] = [
+        self.steps: list[list[tuple[int, int, int, int]]] = [
             [] for _ in self.halves]
         self.labels: dict[frozenset[int], str] = {}
 
@@ -56,10 +57,10 @@ class DependencyGraph:
     def order(self) -> int:
         return len(self.halves)
 
-    def add_edge(self, a: int, b: int, label: str, shift: int,
-                 ratio: int | Fraction) -> None:
-        self.steps[a].append((b, shift, ratio))
-        self.steps[b].append((a, -shift, 1 if ratio == 1 else 1 / ratio))
+    def add_edge(self, a: int, b: int, label: str, shift: int, num: int,
+                 den: int) -> None:
+        self.steps[a].append((b, shift, num, den))
+        self.steps[b].append((a, -shift, den, num))
         self.labels[frozenset((a, b))] = label
 
     def dense(self) -> np.ndarray:
@@ -83,13 +84,13 @@ def build_depgraph(ir: "_ir.NetworkIR") -> DependencyGraph:
         shift = (ir.ports(e.dst).ins[e.dst_port][0]
                  - ir.ports(e.src).outs[e.src_port][0])
         d.add_edge(d.index[f"{e.src}:out"], d.index[f"{e.dst}:in"], INTER,
-                   shift, 1)
+                   shift, 1, 1)
     for a in range(0, d.order, 2):   # each component's input, output half
         h_in, h_out = d.halves[a], d.halves[a + 1]
         if h_in.scheme == h_out.scheme:
-            ratio = (1 if h_in.channels == h_out.channels
-                     else Fraction(h_in.channels, h_out.channels))
-            d.add_edge(a, a + 1, INTRA, 0, ratio)
+            g = gcd(h_in.channels, h_out.channels)
+            d.add_edge(a, a + 1, INTRA, 0, h_in.channels // g,
+                       h_out.channels // g)
     for steps in d.steps:
         steps.sort(key=lambda s: s[0])
     return d

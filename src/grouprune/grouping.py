@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -144,52 +143,51 @@ def _fingerprint(members, width) -> str:
 #
 # A member's placement (o, f) puts its local index i at o + i*f in the
 # working coordinate of the traversal. A dependency step (neighbour, shift,
-# ratio) maps it to the neighbour's placement (o - shift*f, f*ratio).
-# Placements start as the ints (0, 1) and turn into Fractions only past a
-# flatten; identity steps, the common case, do no arithmetic at all.
+# num, den) maps it to the neighbour's placement (o - shift*f, f*num/den).
+# Placements are ints. Each traversal starts at f = scale, the product of
+# num over all steps, which holds the num of both directions of every edge.
+# A member is placed along a simple path from the seed, which crosses each
+# edge once and so divides by a distinct factor of scale at each step, and
+# a step back across that path's last edge only undoes it: f*num // den is
+# exact at every step.
 
 
-def _lcm_fraction(values: list[Fraction]) -> Fraction:
-    num = 1
-    den = 1
-    for f in values:
-        num = lcm(num, f.numerator)
-        den = gcd(den, f.denominator)
-    return Fraction(num, den)
-
-
-def _as_int(x: Fraction, what: str, a: str, b: str) -> int:
-    if x.denominator != 1:
+def _whole(x: int, unit: int, what: str, a: str, b: str) -> int:
+    q, r = divmod(x, unit)
+    if r:
+        g = gcd(x, unit)
         raise GroupingError(
             f"inconsistent channel arithmetic between {a} and {b}: "
-            f"{what} = {x} is not an integer")
-    return x.numerator
+            f"{what} = {x // g}/{unit // g} is not an integer")
+    return q
 
 
-def _normalize(d: DependencyGraph, placements: dict[int, tuple]) -> tuple[int, dict[int, IndexTransform], tuple]:
+def _normalize(d: DependencyGraph, placements: dict[int, tuple[int, int]]) -> tuple[int, dict[int, IndexTransform], tuple]:
     """Rebase working-coordinate placements to the canonical coordinate.
 
-    The canonical unit is the coarsest granularity at which every member's
-    placement is integer-aligned; misalignment means the group's channel
-    arithmetic is inconsistent and raises.
+    The canonical unit is the lcm of the members' steps, the coarsest
+    granularity at which every member's placement is integer-aligned, so
+    each member's expansion unit // f is a whole number. The group width
+    and each member's offset must be whole units too; a remainder means
+    the group's channel arithmetic is inconsistent and raises, with the
+    ratio in lowest terms.
     """
     halves = d.halves
     indices = sorted(placements)
     first = halves[indices[0]].node_id
-    unit = _lcm_fraction([placements[i][1] for i in indices])
+    unit = lcm(*(placements[i][1] for i in indices))
     o_min = min(placements[i][0] for i in indices)
     extent = max(placements[i][0] + halves[i].channels * placements[i][1]
                  for i in indices)
-    width = _as_int((extent - o_min) / unit, "group width", first, first)
+    width = _whole(extent - o_min, unit, "group width", first, first)
 
     transforms = {}
     blocks = []  # (delta, factor, span, local block) for unit merging
     for i in indices:
         o, f = placements[i]
-        factor = _as_int(unit / f, f"expansion of {halves[i].node_id}",
-                         first, halves[i].node_id)
-        delta = _as_int((o - o_min) / unit, f"offset of {halves[i].node_id}",
-                        first, halves[i].node_id)
+        factor = unit // f
+        delta = _whole(o - o_min, unit, f"offset of {halves[i].node_id}",
+                       first, halves[i].node_id)
         if halves[i].channels % factor:
             raise GroupingError(
                 f"inconsistent channel arithmetic between {first} and "
@@ -255,19 +253,19 @@ def extract_groups(d: DependencyGraph) -> list[Group]:
     with both names.
     """
     halves = d.halves
+    scale = prod(num for steps in d.steps for _, _, num, _ in steps)
     visited: set[int] = set()
     groups: list[Group] = []
 
     for seed in range(d.order):
         if seed in visited:
             continue
-        placements = {seed: (0, 1)}
+        placements = {seed: (0, scale)}
         order = [seed]
         for a in order:   # breadth-first: order grows while it is walked
             o, f = placements[a]
-            for b, shift, ratio in d.steps[a]:
-                cand = ((o, f) if shift == 0 and ratio == 1
-                        else (o - shift * f, f * ratio))
+            for b, shift, num, den in d.steps[a]:
+                cand = (o - shift * f, f * num // den)
                 if b not in placements:
                     placements[b] = cand
                     order.append(b)

@@ -346,9 +346,8 @@ def build_learned_plan(ir, groups, scores: dict[str, np.ndarray],
     return plan
 
 
-def end_to_end_prune(ir, ratio: float, mode: str = "uniform",
-                     strategy: str = "full-grouping", topn: int | None = None,
-                     seed: int = 0):
+def end_to_end_prune(ir, ratio: float, mode: str, strategy: str,
+                     topn: int | None, seed: int):
     """Importance -> plan -> prune, plus a report of what happened.
 
     In uniform mode, ratio is the per-group fraction of indices removed.

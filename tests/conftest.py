@@ -56,10 +56,3 @@ def oracle_models():
     for seed in range(30):
         yield f"random_ir({seed})", random_ir(seed)
 
-
-def tiny_smooth_net(seed, max_components=10):
-    """Small everywhere-differentiable random net for gradient checks."""
-    from random_nets import random_ir
-
-    return random_ir(seed, max_components=max_components, smooth=True,
-                     max_channels=5, spatial_choices=(4,))

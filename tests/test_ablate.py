@@ -127,8 +127,9 @@ def test_plans_score_each_group_once(monkeypatch):
         eligible = prunable_groups(ir, extract_groups(build_depgraph(ir)))
         for mode in ("uniform", "learned"):
             calls.clear()
-            _pruned, plan, _report = pruning.end_to_end_prune(ir, 0.5,
-                                                              mode=mode)
+            _pruned, plan, _report = pruning.end_to_end_prune(
+                ir, 0.5, mode=mode, strategy="full-grouping", topn=None,
+                seed=0)
             assert len(calls) == len(eligible), (name, mode)
             assert plan.provenance["criterion"] == "full-grouping"
 

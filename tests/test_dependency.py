@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 
@@ -145,13 +144,13 @@ def test_edges_store_their_index_steps():
             a, b = d.index[f"{e.src}:out"], d.index[f"{e.dst}:in"]
             shift = (_port_offset(ir.component(e.dst), e.dst_port, "concat")
                      - _port_offset(ir.component(e.src), e.src_port, "split"))
-            expected[a].append((b, shift, 1))
-            expected[b].append((a, -shift, 1))
+            expected[a].append((b, shift, 1, 1))
+            expected[b].append((a, -shift, 1, 1))
         for c in _scheme_equal(ir):
             a, b = d.index[f"{c.comp_id}:in"], d.index[f"{c.comp_id}:out"]
             s = c.attrs["spatial_size"] if c.kind == "flatten" else 1
-            expected[a].append((b, 0, Fraction(1, s)))
-            expected[b].append((a, 0, s))
+            expected[a].append((b, 0, 1, s))
+            expected[b].append((a, 0, s, 1))
         for half, steps, want in zip(d.halves, d.steps, expected):
             assert Counter(steps) == Counter(want), half.node_id
             assert [s[0] for s in steps] == sorted(s[0] for s in steps)

@@ -342,7 +342,8 @@ def test_min_keep_two_for_groups_feeding_the_output():
 
 def test_end_to_end_ratio_zero_identity():
     ir = zoo.residual_cnn()
-    pruned, plan, report = end_to_end_prune(ir, 0.0, mode="uniform")
+    pruned, plan, report = end_to_end_prune(
+        ir, 0.0, mode="uniform", strategy="full-grouping", topn=None, seed=0)
     assert report["speedup"] == pytest.approx(1.0)
     for name, arr in ir.weights.items():
         np.testing.assert_array_equal(arr, pruned.weights[name])
@@ -350,7 +351,8 @@ def test_end_to_end_ratio_zero_identity():
 
 def test_end_to_end_uniform_width_audit():
     ir = zoo.residual_cnn()
-    pruned, plan, report = end_to_end_prune(ir, 0.5, mode="uniform")
+    pruned, plan, report = end_to_end_prune(
+        ir, 0.5, mode="uniform", strategy="full-grouping", topn=None, seed=0)
     for entry in report["groups"]:
         assert entry["width_after"] == entry["width_before"] - entry["pruned"]
         assert entry["pruned"] == entry["width_before"] // 2
@@ -360,13 +362,15 @@ def test_end_to_end_uniform_width_audit():
 
 def test_end_to_end_learned_hits_macs_target():
     ir = zoo.residual_cnn()
-    _pruned, _plan, report = end_to_end_prune(ir, 0.5, mode="learned")
+    _pruned, _plan, report = end_to_end_prune(
+        ir, 0.5, mode="learned", strategy="full-grouping", topn=None, seed=0)
     assert report["speedup"] >= 1.9
 
 
 def test_plan_round_trip(tmp_path):
     ir = zoo.residual_cnn()
-    _pruned, plan, _report = end_to_end_prune(ir, 0.4, mode="uniform")
+    _pruned, plan, _report = end_to_end_prune(
+        ir, 0.4, mode="uniform", strategy="full-grouping", topn=None, seed=0)
     plan.to_json(tmp_path / "plan.json")
     loaded = PrunePlan.from_json(tmp_path / "plan.json")
     assert loaded == plan
@@ -374,7 +378,8 @@ def test_plan_round_trip(tmp_path):
 
 def test_pruned_model_round_trips_by_file(tmp_path):
     ir = toy_models.concat_cnn()
-    pruned, _plan, _report = end_to_end_prune(ir, 0.25, mode="uniform")
+    pruned, _plan, _report = end_to_end_prune(
+        ir, 0.25, mode="uniform", strategy="full-grouping", topn=None, seed=0)
     save_model(pruned, tmp_path / "p.json")
     again = load_model(tmp_path / "p.json")
     assert [c.attrs for c in again.components] == [c.attrs for c in pruned.components]
@@ -511,6 +516,7 @@ def test_learned_prune_scans_each_component_a_bounded_number_of_times(monkeypatc
         return consumers_of(self, comp_id)
 
     monkeypatch.setattr(NetworkIR, "consumers_of", counted)
-    _pruned, plan, _report = end_to_end_prune(ir, 0.5, mode="learned")
+    _pruned, plan, _report = end_to_end_prune(
+        ir, 0.5, mode="learned", strategy="full-grouping", topn=None, seed=0)
     assert any(e.indices for e in plan.entries)
     assert 0 < calls <= 4 * len(ir.components)

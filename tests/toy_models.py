@@ -181,8 +181,8 @@ def residual_tower(blocks: int, width: int = 16, image: int = 8,
     return _finish(comps, edges, (1, image, image), [("stem", 0)], seed)
 
 
-def flatten_concat(parts: list[tuple[str, int]], lead: str | None = None,
-                   seed: int = 0) -> NetworkIR:
+def flatten_concat(parts: list[tuple[str, int]],
+                   lead: str | None = None) -> NetworkIR:
     """Concat of flattened features that a flatten cannot align with.
 
     On a (1, 2, 2) input, conv `ca` (1 -> 2) feeds flatten `fa` (8
@@ -202,7 +202,7 @@ def flatten_concat(parts: list[tuple[str, int]], lead: str | None = None,
     edges = [("ca", 0, "fa", 0), ("cb", 0, "fb", 0), ("cat", 0, "head", 0)]
     edges += [("fb", 0, b.comp_id, 0) for b in branches]
     edges += [(name, 0, "cat", port) for port, (name, _) in enumerate(parts)]
-    return _finish(comps, edges, (1, 2, 2), [("ca", 0), ("cb", 0)], seed)
+    return _finish(comps, edges, (1, 2, 2), [("ca", 0), ("cb", 0)], 0)
 
 
 BUNDLED = {
