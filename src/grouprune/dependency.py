@@ -19,10 +19,10 @@ everything else at 0) and the reverse step carries ``-shift``. ``num/den``
 is the two halves' width ratio in lowest terms, this half's over the
 neighbour's: ``(1, 1)`` across every inter edge, ``(1, spatial_size)``
 from a flatten's input half to its output half, and the reverse step
-swaps ``num`` and ``den``. Parallel IR edges between
-the same halves keep one step each, and each half's steps are sorted by
-neighbour. This is the only walk over the IR's wiring; grouping reads
-the steps and never looks at the IR's edges.
+swaps ``num`` and ``den``. Parallel IR edges between the same halves
+keep one step each, and each half's steps are sorted by neighbour. This
+is the only walk over the IR's wiring; grouping reads the steps and
+never looks at the IR's edges.
 """
 
 from __future__ import annotations
